@@ -47,7 +47,7 @@ type Options struct {
 	SyncBatchSize int
 	// SnapshotEvery is the engine ledger-snapshot cadence in blocks (0 =
 	// livenode default). Forks no deeper than this resolve without a
-	// scratch replay.
+	// replay from genesis.
 	SnapshotEvery int
 	// Identities, when non-nil, overrides the seeded roster generation
 	// (len must equal N). The differential engine test uses it to run the

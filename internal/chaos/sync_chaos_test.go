@@ -20,7 +20,7 @@ type syncChaosResult struct {
 // cluster warms its ledger snapshots, then suffers a half/half partition
 // while its one persistent node is down, heals, and restarts that node from
 // its now-stale WAL. Everyone must reconverge through incremental batched
-// sync alone — no scratch replays once snapshots are warm.
+// sync alone — no replays from genesis once snapshots are warm.
 func runBatchedSyncScenario(t *testing.T, seed int64, dataDir string) syncChaosResult {
 	t.Helper()
 	const (
@@ -58,7 +58,7 @@ func runBatchedSyncScenario(t *testing.T, seed int64, dataDir string) syncChaosR
 	}
 
 	// Snapshots are warm on every node: from here on, no sync may fall back
-	// to a scratch replay.
+	// to a replay from the genesis anchor.
 	sumCounter := func(name string) (total uint64) {
 		for i := 0; i < n; i++ {
 			total += c.NodeTelemetry(i).Snapshot().Counter(name)
@@ -108,7 +108,7 @@ func runBatchedSyncScenario(t *testing.T, seed int64, dataDir string) syncChaosR
 
 // TestChaosBatchedSyncConvergence is the incremental-sync flagship
 // scenario: 24 nodes, partition/heal plus a stale-WAL restart, convergence
-// strictly through batched sync (zero scratch replays after warm-up), and a
+// strictly through batched sync (zero genesis replays after warm-up), and a
 // bit-identical faultnet event log when the same seed runs twice.
 func TestChaosBatchedSyncConvergence(t *testing.T) {
 	first := runBatchedSyncScenario(t, *seedFlag, t.TempDir())

@@ -377,10 +377,22 @@ func (n *Node) handleChainRequest(from int) {
 func (n *Node) lastCheckpoint() uint64 { return n.eng.LastCheckpoint() }
 
 // handleChainResponse runs Naivechain-style fork resolution through the
-// engine (length check, checkpoint rule, scratch-ledger claim replay,
-// derived-state rebuild) and layers the adapter's cleanup on adoption.
+// engine and layers the adapter's cleanup on adoption. The response
+// carries the peer's whole chain (the paper's wire model), but only the
+// blocks past the last height whose hash matches ours go to AdoptSuffix
+// (length check, checkpoint rule, suffix claim replay).
 func (n *Node) handleChainResponse(m msgChainResponse) {
-	if !n.eng.AdoptChain(m.blocks) {
+	fork := -1
+	for i := len(m.blocks) - 1; i >= 0; i-- {
+		if n.eng.Chain().HasHash(m.blocks[i].Hash) {
+			fork = i
+			break
+		}
+	}
+	if fork < 0 || fork == len(m.blocks)-1 {
+		return // different genesis, or nothing past our chain
+	}
+	if _, ok := n.eng.AdoptSuffix(m.blocks[fork+1:]); !ok {
 		return
 	}
 	n.sys.stats.forkReplacements++

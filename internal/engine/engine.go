@@ -114,24 +114,24 @@ type Config struct {
 	// Now returns the current time as an offset from the shared epoch.
 	Now func() time.Duration
 
-	// ValidateClaims enables PoS-claim validation in preAppend and scratch
-	// replay in AdoptChain. The PoW baseline disables it (nonce checks
+	// ValidateClaims enables PoS-claim validation in preAppend and on fork
+	// suffixes in AdoptSuffix. The PoW baseline disables it (nonce checks
 	// carry no allocation state; only timestamp sanity remains).
 	ValidateClaims bool
 	// FutureSkew is the clock-skew tolerance for incoming block
 	// timestamps (default 2 s).
 	FutureSkew time.Duration
 	// StakeRescaleEvery periodically rescales the ledger (0 = never); it
-	// applies to the live ledger and to AdoptChain's scratch replay.
+	// applies to the live ledger and to every AdoptSuffix replay.
 	StakeRescaleEvery uint64
 	// CheckpointInterval enables Section V-D checkpoint finality: a fork
 	// candidate rewriting history at or below the newest multiple of this
 	// interval is refused even if longer (0 = disabled).
 	CheckpointInterval int
 	// SnapshotInterval, when positive, freezes a ledger/view snapshot
-	// every this many blocks so AdoptSuffix can validate fork suffixes by
-	// replaying only blocks past the snapshot instead of the whole chain
-	// (0 = snapshots off; true forks then always scratch-replay).
+	// every this many blocks so AdoptSuffix reconstructs fork-point state
+	// by replaying only blocks past the snapshot (0 = snapshots off; true
+	// forks then replay from the genesis or bootstrap anchor).
 	SnapshotInterval int
 	// VerifyWorkers bounds the goroutine pool AdoptSuffix uses to verify
 	// batch block content (hashes + metadata signatures) in parallel;
@@ -142,8 +142,9 @@ type Config struct {
 	// (DESIGN.md §14): after each periodic snapshot, block bodies below
 	// min(newest checkpoint, oldest retained snapshot, tip-PruneDepth)
 	// are discarded, keeping only the header spine. Requires
-	// CheckpointInterval > 0 and SnapshotInterval > 0, which together
-	// guarantee adoption never needs a pruned body.
+	// CheckpointInterval > 0 and SnapshotInterval > 0, which keep the
+	// checkpoint and the ring snapshots inside the body window; a fork
+	// whose replay would need a pruned body is refused.
 	PruneDepth int
 	// OnPrune, if set, is called synchronously after bodies below horizon
 	// were discarded (pruned = how many), so adapters can compact
@@ -208,6 +209,11 @@ type Engine struct {
 	// snaps holds the periodic state snapshots AdoptSuffix adopts from
 	// (ascending height, at most snapshotKeep entries).
 	snaps []snapshot
+	// anchor is the bootstrap snapshot of a snapshot-bootstrapped engine,
+	// AdoptSuffix's replay base below every periodic snapshot. It stays
+	// out of snaps so it never holds PruneHorizon down. Zero on an engine
+	// that started from genesis, whose anchor is genesisState.
+	anchor snapshot
 
 	// Per-round scratch reused across Mine calls so the mining hot path
 	// stays allocation-flat as the cluster scales; each buffer is reset,
@@ -252,16 +258,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.InitialRecentDepth < 1 {
 		cfg.InitialRecentDepth = 1
 	}
-	ledger := pos.NewLedger(cfg.Accounts)
-	ledger.RescaleEvery = cfg.StakeRescaleEvery
-	e := &Engine{
-		cfg:       cfg,
-		ledger:    ledger,
-		view:      NewStorageView(len(cfg.Accounts), cfg.StorageCapacity, cfg.MobilityRange, cfg.InitialRecentDepth, cfg.RecentDepthCap),
-		pool:      make(map[meta.DataID]*meta.Item),
-		inChain:   make(map[meta.DataID]bool),
-		liveItems: make(map[meta.DataID]*meta.Item),
-	}
+	e := &Engine{cfg: cfg, pool: make(map[meta.DataID]*meta.Item)}
+	g := e.genesisState()
+	e.ledger, e.view, e.inChain, e.liveItems = g.ledger, g.view, g.inChain, g.liveItems
 	e.ch = chain.New(cfg.Genesis)
 	e.ch.PreAppend = e.preAppend
 	e.ch.PostAppend = e.postAppend
@@ -415,7 +414,7 @@ func (e *Engine) postAppend(b *block.Block) {
 // ReceiveBlock runs a network block through validation and adoption; the
 // returned count includes previously buffered blocks drained by this one.
 // Gap and fork-link errors are the adapter's cue to start block recovery
-// or a full chain exchange.
+// or a sync round that ends in AdoptSuffix.
 func (e *Engine) ReceiveBlock(b *block.Block) (appended int, err error) {
 	return e.ch.Add(b)
 }
@@ -434,63 +433,6 @@ func (e *Engine) LastCheckpoint() uint64 {
 		return 0
 	}
 	return (e.ch.Height() / k) * k
-}
-
-// AdoptChain evaluates a full candidate chain (Naivechain-style fork
-// resolution): it must be strictly longer, respect checkpoint finality,
-// and replay cleanly — structural validation plus, when claims are
-// enabled, PoS-claim validation of every block against a scratch ledger.
-// On adoption all chain-derived state (ledger, view, pool, live-item
-// index) is rebuilt and true is returned; the caller handles physical
-// storage reconciliation, persistence and re-arming its miner.
-func (e *Engine) AdoptChain(blocks []*block.Block) bool {
-	if len(blocks) <= e.ch.Len() {
-		return false
-	}
-	// Checkpoint rule (Section V-D): a candidate that rewrites history at
-	// or below our newest checkpoint is refused even if longer. The spine
-	// header is enough even when the checkpoint body is pruned.
-	if cp := e.LastCheckpoint(); cp > 0 {
-		hdr, ok := e.ch.HeaderAt(cp)
-		if !ok || uint64(len(blocks)) <= cp || blocks[cp].Hash != hdr.Hash {
-			return false
-		}
-	}
-	if e.cfg.ValidateClaims {
-		scratch := pos.NewLedger(e.cfg.Accounts)
-		scratch.RescaleEvery = e.cfg.StakeRescaleEvery
-		for i := 1; i < len(blocks); i++ {
-			if err := e.cfg.PoS.ValidateClaim(blocks[i-1], blocks[i], scratch); err != nil {
-				return false
-			}
-			if err := scratch.ApplyBlock(blocks[i]); err != nil {
-				return false
-			}
-		}
-	}
-	replaced, err := e.ch.ReplaceIfLonger(blocks)
-	if err != nil || !replaced {
-		return false
-	}
-	// Rebuild all chain-derived state (ReplaceIfLonger runs no hooks).
-	if err := e.ledger.Rebuild(e.ch.Blocks()); err != nil {
-		panic("engine: ledger rebuild after fork: " + err.Error())
-	}
-	e.view.Rebuild(e.ch.Blocks())
-	e.inChain = make(map[meta.DataID]bool)
-	e.liveItems = make(map[meta.DataID]*meta.Item)
-	for _, b := range e.ch.Blocks() {
-		for _, it := range b.Items {
-			e.inChain[it.ID] = true
-			e.liveItems[it.ID] = it // later blocks overwrite: latest version wins
-			delete(e.pool, it.ID)
-		}
-	}
-	// Snapshots taken on the abandoned branch are now invalid; ones on the
-	// surviving common prefix stay usable.
-	e.pruneSnapshots()
-	e.maybePrune()
-	return true
 }
 
 // --- mining ---------------------------------------------------------------

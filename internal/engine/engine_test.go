@@ -360,7 +360,7 @@ func TestMineStaleRound(t *testing.T) {
 	}
 }
 
-func TestAdoptChain(t *testing.T) {
+func TestAdoptSuffixWholeChain(t *testing.T) {
 	c := newTestCluster(t, 3, nil)
 	it := c.item(0, "payload")
 	for _, e := range c.engines {
@@ -374,11 +374,16 @@ func TestAdoptChain(t *testing.T) {
 
 	fresh := newTestCluster(t, 3, nil)
 	fresh.now = c.now
-	victim := fresh.engines[0]
+	victim, ref := fresh.engines[0], fresh.engines[1]
 	victim.AddMetadata(it) // must be pruned on adoption
-	if !victim.AdoptChain(chainBlocks) {
+	ref.AddMetadata(it)
+	if _, ok := victim.AdoptSuffix(chainBlocks[1:]); !ok {
 		t.Fatal("valid longer chain refused")
 	}
+	if !referenceAdopt(ref, chainBlocks) {
+		t.Fatal("reference replay refused a valid longer chain")
+	}
+	assertEngineStateEqual(t, victim, ref)
 	if victim.Tip().Hash != donor.Tip().Hash {
 		t.Fatal("tip mismatch after adoption")
 	}
@@ -395,25 +400,29 @@ func TestAdoptChain(t *testing.T) {
 	}
 
 	// Same-length chain: refused (strictly-longer rule).
-	if victim.AdoptChain(chainBlocks) {
+	if _, ok := victim.AdoptSuffix(chainBlocks[1:]); ok {
 		t.Fatal("equal-length chain adopted")
 	}
 	// Truncation: refused.
-	if victim.AdoptChain(chainBlocks[:3]) {
+	if _, ok := victim.AdoptSuffix(chainBlocks[1:3]); ok {
 		t.Fatal("shorter chain adopted")
 	}
 	// Forged claim: extend with a block whose amendment B is wrong.
 	tip := donor.Tip()
 	forged := block.NewBuilder(tip, fresh.accounts[1], c.now+time.Second, 1, 12345).Seal()
-	if victim.AdoptChain(append(append([]*block.Block(nil), chainBlocks...), forged)) {
+	if _, ok := victim.AdoptSuffix([]*block.Block{forged}); ok {
 		t.Fatal("chain with forged PoS claim adopted")
+	}
+	if referenceAdopt(ref, append(append([]*block.Block(nil), chainBlocks...), forged)) {
+		t.Fatal("reference replay adopted a forged PoS claim")
 	}
 	if victim.Tip().Hash != donor.Tip().Hash {
 		t.Fatal("failed adoption mutated the chain")
 	}
+	assertEngineStateEqual(t, victim, ref)
 }
 
-func TestAdoptChainCheckpointFinality(t *testing.T) {
+func TestAdoptSuffixCheckpointFinality(t *testing.T) {
 	c := newTestCluster(t, 3, func(i int, cfg *Config) { cfg.CheckpointInterval = 2 })
 	for r := 0; r < 4; r++ {
 		c.mineNext(t)
@@ -442,8 +451,24 @@ func TestAdoptChainCheckpointFinality(t *testing.T) {
 		candidate = append(candidate, nb)
 	}
 	c.now += 100000 * time.Second // keep the candidate out of the future
-	if e.AdoptChain(candidate) {
+	if _, ok := e.AdoptSuffix(candidate[3:]); ok {
 		t.Fatal("chain rewriting finalized history adopted")
+	}
+	if referenceAdopt(c.engines[1], candidate) {
+		t.Fatal("reference replay adopted a chain rewriting finalized history")
+	}
+	// The same candidate is fine for an engine without checkpoints: the
+	// refusal above is the finality rule, not a defect in the candidate.
+	plain := newTestCluster(t, 3, nil)
+	for r := 0; r < 4; r++ {
+		plain.mineNext(t)
+	}
+	plain.now = c.now
+	if plain.engines[0].Tip().Hash != e.Tip().Hash {
+		t.Fatal("fixture: the plain cluster mined a different chain")
+	}
+	if _, ok := plain.engines[0].AdoptSuffix(candidate[3:]); !ok {
+		t.Fatal("valid longer fork refused without checkpoints")
 	}
 }
 

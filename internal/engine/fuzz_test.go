@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,40 +10,72 @@ import (
 	"repro/internal/pos"
 )
 
-// FuzzAdoptChain feeds AdoptChain mutated fork candidates — truncated,
-// reordered, duplicated-height and claim-forged chains — and asserts the
-// two safety properties: the engine never panics, and it never adopts a
-// chain that does not replay cleanly (structural validity plus PoS claim
-// validity). The victim's own chain must stay fully valid after every
-// attempt, adopted or refused.
-func FuzzAdoptChain(f *testing.F) {
-	f.Add([]byte{})           // unmutated candidate: must adopt
+// FuzzAdoptSuffix feeds AdoptSuffix mutated fork suffixes — truncated,
+// reordered, duplicated-height and claim-forged chains, cut at a varying
+// start height — and asserts the safety properties: the engine never
+// panics, it adopts exactly when the referenceAdopt oracle does (reaching
+// the same state), and it never adopts a chain that does not replay
+// cleanly (structural validity plus PoS claim validity). The victim's own
+// chain must stay fully valid after every attempt, adopted or refused.
+//
+// The victim holds its own 7-block branch with a ring snapshot at 4 and
+// shares blocks 1–4 with the 9-block donor, so the unmutated suffix forks
+// at the snapshot; starting the suffix lower moves the fork point below
+// every ring snapshot, onto the genesis anchor.
+func FuzzAdoptSuffix(f *testing.F) {
+	f.Add([]byte{})           // unmutated suffix: must adopt
 	f.Add([]byte{0, 3})       // truncate
 	f.Add([]byte{1, 2, 2, 0}) // duplicate a height, swap adjacent
 	f.Add([]byte{3, 1, 3, 9}) // stale-hash field tampering
 	f.Add([]byte{4, 2, 4, 5}) // resealed forged claims
 	f.Add([]byte{5, 7, 5, 1}) // forged-claim extensions
 	f.Add([]byte{2, 0, 1, 6, 0, 255, 5, 42})
+	f.Add([]byte{6, 1}) // start at height 2: fork below the ring snapshot
 
-	// One valid 6-block donor chain, shared (read-only) by all inputs.
-	donor := newTestCluster(f, 3, nil)
-	it := donor.item(0, "fuzz payload")
-	for _, e := range donor.engines {
-		e.AddMetadata(it)
+	c := newTestCluster(f, 3, nil)
+	all := []int{0, 1, 2}
+	for r := 0; r < 4; r++ {
+		it := c.item(r%3, fmt.Sprintf("fuzz payload %d", r))
+		for _, e := range c.engines {
+			e.AddMetadata(it)
+		}
+		c.mineAmong(f, all)
 	}
-	for r := 0; r < 6; r++ {
-		donor.mineNext(f)
+	for r := 0; r < 3; r++ {
+		c.mineAmong(f, []int{2})
 	}
-	base := donor.engines[0].Chain().Blocks()
-	accounts := donor.accounts
+	for r := 0; r < 5; r++ {
+		c.mineAmong(f, []int{0, 1})
+	}
+	local := c.engines[2].Chain().Blocks()
+	donor := c.engines[0].Chain().Blocks()
+	c.now += 100000 * time.Second // keep both branches out of the future
+	const fork = 4
+	accounts := c.accounts
+
+	// newVictim replays the local branch into a fresh engine that
+	// snapshots every 4 blocks.
+	newVictim := func(t *testing.T) *Engine {
+		e := freshObserver(t, c)
+		for _, b := range local[1:] {
+			if _, err := e.ReceiveBlock(b); err != nil {
+				t.Fatalf("victim replay: %v", err)
+			}
+		}
+		return e
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		victim := newTestCluster(t, 3, nil).engines[0]
+		victim, twin := newVictim(t), newVictim(t)
+		if got := victim.Snapshots(); len(got) != 1 || got[0] != fork {
+			t.Fatalf("victim ring snapshots %v, want [%d]", got, fork)
+		}
 
-		blocks := append([]*block.Block(nil), base...)
+		blocks := append([]*block.Block(nil), donor...)
+		start := fork + 1
 		mutated := false
 		for i := 0; i+1 < len(data) && len(blocks) > 0; i += 2 {
-			op, arg := int(data[i])%6, int(data[i+1])
+			op, arg := int(data[i])%7, int(data[i+1])
 			switch op {
 			case 0: // truncate
 				k := 1 + arg%len(blocks)
@@ -90,24 +123,43 @@ func FuzzAdoptChain(f *testing.F) {
 					prev.Timestamp+time.Second, uint64(arg%100)+1, float64(arg)).Seal()
 				blocks = append(blocks, nb)
 				mutated = true
+			case 6: // move the suffix start; past fork+1 it no longer links
+				start = 1 + arg%len(blocks)
 			}
 		}
+		if start > fork+1 {
+			mutated = true
+		}
+		var suffix []*block.Block
+		if start < len(blocks) {
+			suffix = blocks[start:]
+		}
 
-		adopted := victim.AdoptChain(blocks)
+		stats, adopted := victim.AdoptSuffix(suffix)
 
 		if !mutated && !adopted {
-			t.Fatal("unmutated valid chain refused")
+			t.Fatalf("unmutated valid suffix from height %d refused", start)
 		}
 		if adopted {
-			snap := victim.Chain().Blocks()
-			if len(snap) != len(blocks) {
-				t.Fatalf("adopted %d blocks of a %d-block candidate", len(snap), len(blocks))
+			if stats.FullReplay != (stats.ForkPoint < fork) {
+				t.Fatalf("FullReplay = %v at fork point %d (ring snapshot at %d)", stats.FullReplay, stats.ForkPoint, fork)
 			}
-			for i := range snap {
-				if snap[i].Hash != blocks[i].Hash {
-					t.Fatalf("adopted chain differs from candidate at height %d", i)
+			if victim.Height() != suffix[len(suffix)-1].Index {
+				t.Fatalf("adopted height %d, suffix ends at %d", victim.Height(), suffix[len(suffix)-1].Index)
+			}
+			for _, b := range suffix {
+				if victim.Chain().At(b.Index).Hash != b.Hash {
+					t.Fatalf("adopted chain differs from suffix at height %d", b.Index)
 				}
 			}
+		}
+		// The oracle must reach the same decision on the full candidate.
+		if len(suffix) > 0 && suffix[0].Index >= 1 && suffix[0].Index <= twin.Height()+1 {
+			candidate := append(append([]*block.Block(nil), twin.Chain().Blocks()[:suffix[0].Index]...), suffix...)
+			if got := referenceAdopt(twin, candidate); got != adopted {
+				t.Fatalf("AdoptSuffix adopted=%v, reference replay adopted=%v", adopted, got)
+			}
+			assertEngineStateEqual(t, victim, twin)
 		}
 		// Whatever happened, the victim's chain must replay cleanly.
 		snap := victim.Chain().Blocks()

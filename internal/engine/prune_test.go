@@ -190,6 +190,64 @@ func TestPrunedEngineMatchesFull(t *testing.T) {
 	}
 }
 
+// TestPrunedEngineRefusesForkNeedingPrunedBodies pins the pruning side of
+// the genesis replay anchor: the anchor lives outside the snapshot ring, so
+// it does not hold the prune horizon at 0, and a fork below every ring
+// snapshot — which would replay from genesis through pruned bodies — is
+// refused, while an unpruned twin adopts the same fork from genesis.
+func TestPrunedEngineRefusesForkNeedingPrunedBodies(t *testing.T) {
+	c := newTestCluster(t, 4, func(i int, cfg *Config) {
+		cfg.SnapshotInterval = 4
+		if i < 2 {
+			cfg.CheckpointInterval = 16
+		}
+		if i == 0 {
+			cfg.PruneDepth = 8
+		}
+	})
+	for r := 0; r < 33; r++ {
+		c.mineAmong(t, []int{0, 1, 2, 3})
+	}
+	for r := 0; r < 14; r++ {
+		c.mineAmong(t, []int{0, 1})
+	}
+	for r := 0; r < 16; r++ {
+		c.mineAmong(t, []int{2, 3})
+	}
+	pruned, twin := c.engines[0], c.engines[1]
+	if pruned.Height() != 47 || c.engines[2].Height() != 49 {
+		t.Fatalf("fixture heights %d/%d, want 47/49", pruned.Height(), c.engines[2].Height())
+	}
+	// Horizon = min(tip-8, checkpoint 32, oldest ring snapshot 40) = 32.
+	if h, base := pruned.PruneHorizon(), pruned.Chain().BodyBase(); h != 32 || base != 32 {
+		t.Fatalf("prune horizon %d, body base %d, want 32/32", h, base)
+	}
+	if got := pruned.Snapshots(); !reflect.DeepEqual(got, []uint64{40, 44}) {
+		t.Fatalf("ring snapshots %v, want [40 44]", got)
+	}
+
+	// The remote fork point 33 clears the checkpoint (32) but predates both
+	// ring snapshots: replay would start at genesis and need bodies 1–31.
+	suffix := c.engines[2].Chain().Blocks()[34:]
+	tip := pruned.Tip().Hash
+	if _, ok := pruned.AdoptSuffix(suffix); ok {
+		t.Fatal("pruned engine adopted a fork whose replay needs pruned bodies")
+	}
+	if pruned.Tip().Hash != tip || pruned.Chain().BodyBase() != 32 {
+		t.Fatal("refused fork changed the pruned engine")
+	}
+	stats, ok := twin.AdoptSuffix(suffix)
+	if !ok {
+		t.Fatal("unpruned twin refused the same fork")
+	}
+	if !stats.FullReplay || stats.Replayed != 33 {
+		t.Fatalf("twin replay: %+v, want full replay of 33 blocks from genesis", stats)
+	}
+	if twin.Tip().Hash != c.engines[2].Tip().Hash {
+		t.Fatal("twin did not adopt the remote tip")
+	}
+}
+
 // TestBootstrapFromSnapshotEquivalence bootstraps a fresh engine from an
 // encoded snapshot, feeds it only the live suffix, and requires it to reach
 // a state bit-identical to a replica that replayed the whole chain.
@@ -280,6 +338,63 @@ func TestBootstrapFromSnapshotEquivalence(t *testing.T) {
 	}
 }
 
+// TestBootstrappedEngineReplaysFromAnchor pins the bootstrap snapshot as
+// the replay anchor: once the ring has moved past it, a fork between the
+// anchor and the oldest ring snapshot replays the engine's own blocks from
+// the anchor and lands on the same state as an engine that followed the
+// whole chain.
+func TestBootstrappedEngineReplaysFromAnchor(t *testing.T) {
+	c := newTestCluster(t, 4, func(i int, cfg *Config) { cfg.SnapshotInterval = 4 })
+	for r := 0; r < 9; r++ {
+		c.mineNext(t)
+	}
+	snap, ok := c.engines[0].ExportSnapshot()
+	if !ok || snap.Height != 8 {
+		t.Fatalf("exportable snapshot ok=%v, want height 8", ok)
+	}
+	boot := freshObserver(t, c)
+	if err := boot.BootstrapFromSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := boot.ReceiveBlock(c.engines[0].Chain().At(9)); err != nil {
+		t.Fatal(err)
+	}
+	c.engines = append(c.engines, boot)
+	c.events = append(c.events, nil)
+
+	c.mineAmong(t, []int{0, 1, 2, 3, 4})
+	for r := 0; r < 7; r++ {
+		c.mineAmong(t, []int{2, 3, 4})
+	}
+	for r := 0; r < 9; r++ {
+		c.mineAmong(t, []int{0, 1})
+	}
+	if got := boot.Snapshots(); !reflect.DeepEqual(got, []uint64{12, 16}) {
+		t.Fatalf("ring snapshots %v, want [12 16] (anchor evicted)", got)
+	}
+	remote := c.engines[0].Chain().Blocks()
+	stats, ok := boot.AdoptSuffix(remote[11:])
+	if !ok {
+		t.Fatal("bootstrapped engine refused a fork above its anchor")
+	}
+	if !stats.FullReplay || stats.ForkPoint != 10 || stats.Replayed != 2 {
+		t.Fatalf("stats %+v, want a replay of blocks 9–10 from the anchor at 8", stats)
+	}
+	ref := c.engines[2]
+	if _, ok := ref.AdoptSuffix(remote[11:]); !ok {
+		t.Fatal("reference engine refused the fork")
+	}
+	if boot.Tip().Hash != c.engines[0].Tip().Hash || ref.Tip().Hash != boot.Tip().Hash {
+		t.Fatal("tips diverge after the fork")
+	}
+	if !reflect.DeepEqual(boot.Ledger().ExportState(), ref.Ledger().ExportState()) {
+		t.Fatal("anchor replay ledger diverges from the full replica's")
+	}
+	if !reflect.DeepEqual(boot.View(), ref.View()) {
+		t.Fatal("anchor replay storage view diverges from the full replica's")
+	}
+}
+
 // TestBootstrapRejectsCorruptSnapshots checks the semantic validation gate:
 // a snapshot whose ledger, roster shape or anchor is inconsistent must not
 // install.
@@ -357,7 +472,7 @@ func BenchmarkSnapshotBootstrap(b *testing.B) {
 	b.Run("replay", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := freshObserver(b, c)
-			if !e.AdoptChain(blocks) {
+			if _, ok := e.AdoptSuffix(blocks[1:]); !ok {
 				b.Fatal("replay rejected")
 			}
 		}

@@ -401,8 +401,8 @@ func exportSnapshot(s snapshot, anchor *block.Block) *StateSnapshot {
 // BootstrapFromSnapshot initializes a fresh engine (height 0, nothing
 // adopted yet) from a finalized snapshot: the chain replica is anchored at
 // the snapshot block, ledger/view/item state is restored without any
-// replay, and the snapshot is seeded into the periodic-snapshot ring so
-// fork adoption works immediately above the anchor. Heights below the
+// replay, and the snapshot becomes AdoptSuffix's permanent replay anchor
+// (and seeds the periodic-snapshot ring). Heights below the
 // anchor stay unknown (header spine starts at the anchor); the node then
 // catches up the live suffix through the normal §10 locator sync.
 func (e *Engine) BootstrapFromSnapshot(s *StateSnapshot) error {
@@ -425,12 +425,11 @@ func (e *Engine) BootstrapFromSnapshot(s *StateSnapshot) error {
 	if len(s.DataLive) != n || len(s.BlockBodies) != n || len(s.RecentDepth) != n {
 		return fmt.Errorf("%w: view roster size mismatch (want %d nodes)", ErrBadSnapshot, n)
 	}
-	ledger := pos.NewLedger(e.cfg.Accounts)
-	ledger.RescaleEvery = e.cfg.StakeRescaleEvery
+	st := e.genesisState()
+	ledger, view := st.ledger, st.view
 	if err := ledger.RestoreState(s.Ledger); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	view := NewStorageView(n, e.cfg.StorageCapacity, e.cfg.MobilityRange, e.cfg.InitialRecentDepth, e.cfg.RecentDepthCap)
 	copy(view.dataLive, s.DataLive)
 	copy(view.blockBodies, s.BlockBodies)
 	copy(view.recentDepth, s.RecentDepth)
@@ -454,44 +453,28 @@ func (e *Engine) BootstrapFromSnapshot(s *StateSnapshot) error {
 	newCh.PreAppend = e.preAppend
 	newCh.PostAppend = e.postAppend
 
-	inChain := make(map[meta.DataID]bool, len(s.InChain))
 	for _, id := range s.InChain {
-		inChain[id] = true
+		st.inChain[id] = true
 	}
-	liveItems := make(map[meta.DataID]*meta.Item, len(s.LiveItems))
 	for _, it := range s.LiveItems {
-		if !inChain[it.ID] {
+		if !st.inChain[it.ID] {
 			return fmt.Errorf("%w: live item %s not marked on-chain", ErrBadSnapshot, it.ID.Short())
 		}
-		liveItems[it.ID] = it
+		st.liveItems[it.ID] = it
 	}
 
 	// Commit.
 	e.ch = newCh
-	e.ledger = ledger
-	e.view = view
-	e.inChain = inChain
-	e.liveItems = liveItems
+	e.ledger, e.view, e.inChain, e.liveItems = ledger, view, st.inChain, st.liveItems
 	for id := range e.pool {
-		if inChain[id] {
+		if e.inChain[id] {
 			delete(e.pool, id)
 		}
 	}
-	snap := snapshot{
-		height:    s.Height,
-		hash:      s.Block.Hash,
-		ledger:    ledger.Clone(),
-		view:      view.Clone(),
-		inChain:   make(map[meta.DataID]bool, len(inChain)),
-		liveItems: make(map[meta.DataID]*meta.Item, len(liveItems)),
-	}
-	for id := range inChain {
-		snap.inChain[id] = true
-	}
-	for id, it := range liveItems {
-		snap.liveItems[id] = it
-	}
-	e.snaps = []snapshot{snap}
+	// The snapshot is both the first ring entry (as any periodic snapshot
+	// would be) and the permanent replay anchor.
+	e.anchor = e.liveState().clone()
+	e.snaps = []snapshot{e.anchor}
 	return nil
 }
 
@@ -523,9 +506,10 @@ func (e *Engine) PruneHorizon() uint64 {
 }
 
 // maybePrune discards bodies below the prune horizon (called after each
-// periodic snapshot). AdoptSuffix never needs bodies below the horizon:
-// forks below the checkpoint are refused, and replay always starts at a
-// retained snapshot, both of which bound the horizon.
+// periodic snapshot). A fork adoption that replays from a ring snapshot
+// never needs bodies below the horizon, because the checkpoint and the
+// oldest ring snapshot both bound it; AdoptSuffix refuses a replay from
+// the anchor that would.
 func (e *Engine) maybePrune() {
 	horizon := e.PruneHorizon()
 	if horizon == 0 || horizon <= e.ch.BodyBase() {

@@ -6,20 +6,89 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/chain"
+	"repro/internal/meta"
+	"repro/internal/pos"
 )
 
-// Differential equivalence suite (ISSUE: incremental sync). AdoptSuffix is
-// an optimization of AdoptChain — same acceptance decisions, same
-// resulting state — so for every seeded fork scenario we drive two
-// observer engines with identical histories, hand one the bare suffix and
-// the other the synthesized full candidate, and require bit-identical
-// results: tip hash, every block hash, ledger, StorageView, item indexes
-// and pool.
+// Differential equivalence suite. AdoptSuffix must make the same
+// acceptance decisions and reach the same state as a whole-chain scratch
+// replay from genesis (referenceAdopt, written here as the oracle), so for
+// every seeded fork scenario we drive two observer engines with identical
+// histories, hand one the bare suffix and the other the full candidate,
+// and require bit-identical results: tip hash, every block hash, ledger,
+// StorageView, item indexes and pool.
 //
 // The scenarios deliberately avoid the two pieces of state that are NOT
 // chain-derived and hence outside the equivalence contract: ledger rentals
-// (Ledger.Rebuild documents they reset on scratch replay) and item
-// expiry (no test item carries a ValidFor).
+// (a replay from a snapshot keeps them, one from genesis drops them) and
+// item expiry (no test item carries a ValidFor).
+
+// referenceAdopt is the oracle: Naivechain fork resolution by scratch
+// replay of a full candidate chain. It accepts iff the candidate shares
+// e's genesis, is strictly longer, keeps e's newest checkpoint, is
+// structurally valid from genesis and its PoS claims replay cleanly on a
+// scratch ledger. On success it swaps the candidate in and rebuilds every
+// piece of derived state from genesis.
+func referenceAdopt(e *Engine, candidate []*block.Block) bool {
+	if len(candidate) <= e.ch.Len() || chain.Validate(candidate) != nil || candidate[0].Hash != e.cfg.Genesis.Hash {
+		return false
+	}
+	if cp := e.LastCheckpoint(); cp > 0 {
+		hdr, ok := e.ch.HeaderAt(cp)
+		if !ok || uint64(len(candidate)) <= cp || candidate[cp].Hash != hdr.Hash {
+			return false
+		}
+	}
+	ledger := pos.NewLedger(e.cfg.Accounts)
+	ledger.RescaleEvery = e.cfg.StakeRescaleEvery
+	view := NewStorageView(len(e.cfg.Accounts), e.cfg.StorageCapacity, e.cfg.MobilityRange, e.cfg.InitialRecentDepth, e.cfg.RecentDepthCap)
+	inChain := make(map[meta.DataID]bool)
+	liveItems := make(map[meta.DataID]*meta.Item)
+	for i := 1; i < len(candidate); i++ {
+		b := candidate[i]
+		if e.cfg.ValidateClaims {
+			if err := e.cfg.PoS.ValidateClaim(candidate[i-1], b, ledger); err != nil {
+				return false
+			}
+		}
+		if err := ledger.ApplyBlock(b); err != nil {
+			return false
+		}
+		view.ApplyBlock(b)
+		for _, it := range b.Items {
+			inChain[it.ID] = true
+			liveItems[it.ID] = it
+		}
+	}
+	suffix := forkSuffix(e, candidate)
+	if err := e.ch.ReplaceSuffix(suffix[0].Index-1, suffix); err != nil {
+		panic("reference replace: " + err.Error())
+	}
+	e.ledger, e.view, e.inChain, e.liveItems = ledger, view, inChain, liveItems
+	for id := range e.pool {
+		if inChain[id] {
+			delete(e.pool, id)
+		}
+	}
+	e.pruneSnapshots()
+	e.maybePrune()
+	return true
+}
+
+// forkSuffix returns the blocks of a full candidate chain past the last
+// height whose hash matches e's chain: the suffix AdoptSuffix takes.
+func forkSuffix(e *Engine, candidate []*block.Block) []*block.Block {
+	fork := 0
+	for h := 1; h < len(candidate); h++ {
+		hdr, ok := e.ch.HeaderAt(uint64(h))
+		if !ok || hdr.Hash != candidate[h].Hash {
+			break
+		}
+		fork = h
+	}
+	return candidate[fork+1:]
+}
 
 // mineAmong plays one round among a subset of the cluster's engines: the
 // member with the earliest winning time mines and only members adopt, so
@@ -142,7 +211,7 @@ func forkFixture(t *testing.T, snapInterval, prefixLen, localExtra, remoteExtra 
 }
 
 // runDifferential adopts the remote branch on observer 2 via AdoptSuffix
-// and on observer 3 via the legacy AdoptChain, then checks equivalence.
+// and on observer 3 via the referenceAdopt oracle, then checks equivalence.
 func runDifferential(t *testing.T, c *testCluster, suffix []*block.Block, wantFullReplay bool) SuffixStats {
 	t.Helper()
 	candidate := append([]*block.Block(nil), c.engines[0].Chain().Blocks()...)
@@ -150,8 +219,8 @@ func runDifferential(t *testing.T, c *testCluster, suffix []*block.Block, wantFu
 	if !ok {
 		t.Fatalf("AdoptSuffix rejected a valid suffix (stats %+v)", stats)
 	}
-	if !c.engines[3].AdoptChain(candidate) {
-		t.Fatal("AdoptChain rejected a valid candidate")
+	if !referenceAdopt(c.engines[3], candidate) {
+		t.Fatal("reference replay rejected a valid candidate")
 	}
 	if stats.FullReplay != wantFullReplay {
 		t.Errorf("FullReplay = %v, want %v (stats %+v)", stats.FullReplay, wantFullReplay, stats)
@@ -184,12 +253,37 @@ func TestAdoptSuffixEquivalentForkAtSnapshot(t *testing.T) {
 
 func TestAdoptSuffixEquivalentForkBeforeSnapshot(t *testing.T) {
 	// Observers snapshot at 4 and 8 on their own branch, but the fork point
-	// 3 predates both: the engine must fall back to a full scratch replay
-	// and still match the legacy path exactly.
+	// 3 predates both: the engine replays its own blocks 1–3 from the
+	// genesis anchor and must still match the reference exactly.
 	c, suffix := forkFixture(t, 4, 3, 6, 8)
 	stats := runDifferential(t, c, suffix, true)
-	if got := len(c.engines[2].Chain().Blocks()); stats.Replayed != got-1 {
-		t.Errorf("Replayed = %d, want full chain %d", stats.Replayed, got-1)
+	if stats.Replayed != 3 {
+		t.Errorf("Replayed = %d, want 3 (genesis anchor, fork at 3)", stats.Replayed)
+	}
+}
+
+func TestAdoptSuffixEquivalentGenesisReplayRescales(t *testing.T) {
+	// Stake rescaling is chain-derived: a replay from the genesis anchor
+	// must rescale at the same heights as the reference replay does.
+	c := newTestCluster(t, 4, func(i int, cfg *Config) {
+		cfg.SnapshotInterval = 4
+		cfg.StakeRescaleEvery = 3
+	})
+	for i := 0; i < 3; i++ {
+		c.mineAmong(t, []int{0, 1, 2, 3})
+	}
+	for i := 0; i < 6; i++ {
+		c.mineAmong(t, []int{2, 3})
+	}
+	for i := 0; i < 8; i++ {
+		c.mineAmong(t, []int{0, 1})
+	}
+	stats := runDifferential(t, c, c.engines[0].Chain().Blocks()[4:], true)
+	if stats.Replayed != 3 {
+		t.Errorf("Replayed = %d, want 3 (genesis anchor, fork at 3)", stats.Replayed)
+	}
+	if got := c.engines[2].Ledger().Scale(); got != 8 {
+		t.Errorf("ledger scale %v after 11 blocks rescaled every 3, want 8", got)
 	}
 }
 
@@ -259,8 +353,8 @@ func TestAdoptSuffixRejectsForgedClaims(t *testing.T) {
 	}
 	candidate := append([]*block.Block(nil), c.engines[3].Chain().Blocks()[:suffix[0].Index]...)
 	candidate = append(candidate, forged...)
-	if c.engines[3].AdoptChain(candidate) {
-		t.Fatal("AdoptChain accepted forged claims")
+	if referenceAdopt(c.engines[3], candidate) {
+		t.Fatal("reference replay accepted forged claims")
 	}
 	if c.engines[2].Tip().Hash != tipBefore {
 		t.Fatal("rejected forged suffix mutated the chain")
@@ -286,8 +380,8 @@ func TestAdoptSuffixParallelVerifyDeterministic(t *testing.T) {
 			if workers <= 1 && stats.ParallelVerified != 0 {
 				t.Errorf("ParallelVerified = %d, want 0 on the sequential path", stats.ParallelVerified)
 			}
-			if !c.engines[3].AdoptChain(c.engines[0].Chain().Blocks()) {
-				t.Fatal("legacy candidate rejected")
+			if !referenceAdopt(c.engines[3], c.engines[0].Chain().Blocks()) {
+				t.Fatal("reference replay rejected the candidate")
 			}
 			assertEngineStateEqual(t, c.engines[2], c.engines[3])
 		})

@@ -10,13 +10,19 @@ import (
 	"repro/internal/pos"
 )
 
-// Incremental fork adoption (DESIGN.md §10). AdoptChain re-validates a
-// candidate from genesis against a scratch ledger — O(chain) work that
-// grows forever. AdoptSuffix instead adopts only the blocks past the fork
-// point, sourcing the ledger/view state at the fork point from a periodic
-// snapshot (or from the live state when the suffix simply extends the
-// tip), and falls back to the legacy scratch replay when the fork
-// predates every snapshot it kept.
+// Fork adoption (DESIGN.md §10). AdoptSuffix is the engine's one
+// fork-adoption path: it adopts only the blocks past the fork point,
+// starting from the newest state it holds at or below that point — the
+// live state when the suffix simply extends the tip, else a periodic
+// snapshot, else the permanent replay anchor — and re-applying its own
+// blocks from there. Blocks at or below the fork point are never
+// re-verified.
+//
+// The anchor is the bootstrap snapshot on a snapshot-bootstrapped engine
+// and genesis state otherwise. Genesis state is a pure function of Config,
+// so it is rebuilt on demand rather than held: a held copy would cost
+// every node a roster-sized ledger and view for state that takes
+// microseconds to rebuild.
 
 // snapshotKeep is how many periodic snapshots the engine retains. Two
 // snapshots guarantee that any fork point within one full
@@ -33,19 +39,80 @@ type snapshot struct {
 	liveItems map[meta.DataID]*meta.Item
 }
 
+// clone returns an independent copy of s, so replaying blocks on the copy
+// leaves s untouched. Items are immutable and shared.
+func (s snapshot) clone() snapshot {
+	cp := snapshot{
+		height:    s.height,
+		hash:      s.hash,
+		ledger:    s.ledger.Clone(),
+		view:      s.view.Clone(),
+		inChain:   make(map[meta.DataID]bool, len(s.inChain)),
+		liveItems: make(map[meta.DataID]*meta.Item, len(s.liveItems)),
+	}
+	for id := range s.inChain {
+		cp.inChain[id] = true
+	}
+	for id, it := range s.liveItems {
+		cp.liveItems[id] = it
+	}
+	return cp
+}
+
+// apply folds one block's state transitions into s.
+func (s *snapshot) apply(b *block.Block) error {
+	if err := s.ledger.ApplyBlock(b); err != nil {
+		return err
+	}
+	s.view.ApplyBlock(b)
+	for _, it := range b.Items {
+		s.inChain[it.ID] = true
+		s.liveItems[it.ID] = it
+	}
+	return nil
+}
+
+// liveState returns the engine's current state as a snapshot that aliases
+// the live structures (clone it before mutating).
+func (e *Engine) liveState() snapshot {
+	return snapshot{
+		height:    e.ch.Height(),
+		hash:      e.ch.Tip().Hash,
+		ledger:    e.ledger,
+		view:      e.view,
+		inChain:   e.inChain,
+		liveItems: e.liveItems,
+	}
+}
+
+// genesisState builds the chain-derived state at height 0 from Config.
+func (e *Engine) genesisState() snapshot {
+	ledger := pos.NewLedger(e.cfg.Accounts)
+	ledger.RescaleEvery = e.cfg.StakeRescaleEvery
+	return snapshot{
+		hash:      e.cfg.Genesis.Hash,
+		ledger:    ledger,
+		view:      NewStorageView(len(e.cfg.Accounts), e.cfg.StorageCapacity, e.cfg.MobilityRange, e.cfg.InitialRecentDepth, e.cfg.RecentDepthCap),
+		inChain:   make(map[meta.DataID]bool),
+		liveItems: make(map[meta.DataID]*meta.Item),
+	}
+}
+
 // SuffixStats reports what an AdoptSuffix call did, for telemetry: how
-// much state was replayed versus a full scratch replay, and how much of
-// the batch the verify pool handled.
+// much state was replayed, where the replay started, and how much of the
+// batch the verify pool handled.
 type SuffixStats struct {
 	// ForkPoint is the height of the common ancestor the suffix extends.
 	ForkPoint uint64
 	// Appended counts suffix blocks validated and applied.
 	Appended int
 	// Replayed counts this node's own blocks re-applied between the
-	// snapshot and the fork point to reconstruct fork-point state.
+	// replay base and the fork point to reconstruct fork-point state.
 	Replayed int
-	// FullReplay reports that no snapshot covered the fork point and the
-	// engine fell back to the legacy scratch replay from genesis.
+	// FullReplay reports that no periodic snapshot covered the fork point,
+	// so the replay started at the permanent anchor (genesis, or the
+	// bootstrap snapshot). The replay applies state only: no signature or
+	// claim below the fork point is re-checked.
 	FullReplay bool
 	// ParallelVerified counts blocks content-verified by the worker pool
 	// (0 when the pool ran sequentially).
@@ -59,21 +126,7 @@ func (e *Engine) maybeSnapshot(height uint64) {
 	if k == 0 || height == 0 || height%k != 0 {
 		return
 	}
-	s := snapshot{
-		height:    height,
-		hash:      e.ch.At(height).Hash,
-		ledger:    e.ledger.Clone(),
-		view:      e.view.Clone(),
-		inChain:   make(map[meta.DataID]bool, len(e.inChain)),
-		liveItems: make(map[meta.DataID]*meta.Item, len(e.liveItems)),
-	}
-	for id := range e.inChain {
-		s.inChain[id] = true
-	}
-	for id, it := range e.liveItems {
-		s.liveItems[id] = it
-	}
-	e.snaps = append(e.snaps, s)
+	e.snaps = append(e.snaps, e.liveState().clone())
 	if len(e.snaps) > snapshotKeep {
 		e.snaps = e.snaps[len(e.snaps)-snapshotKeep:]
 	}
@@ -167,23 +220,24 @@ func (e *Engine) verifyContent(blocks []*block.Block) (int, error) {
 }
 
 // AdoptSuffix evaluates a candidate chain suffix whose first block links
-// to a block this engine already holds (the fork point). The combined
-// chain must be strictly longer than the current one and respect
-// checkpoint finality, exactly as AdoptChain requires of a full
-// candidate; block content is verified by the bounded worker pool and
-// PoS claims (when enabled) are replayed sequentially against the ledger
-// state reconstructed at the fork point.
+// to a block this engine already holds (the fork point). This is
+// Naivechain-style fork resolution: the combined chain must be strictly
+// longer than the current one and must not rewrite history at or below
+// the newest checkpoint. Block content is verified by the bounded worker
+// pool, and PoS claims (when enabled) are replayed sequentially against
+// the ledger state reconstructed at the fork point.
 //
-// State reconstruction costs only the blocks between the newest covering
-// snapshot and the fork point — for the common reconnect case (suffix
-// extends the tip) nothing is replayed at all. When no snapshot covers
-// the fork point, the engine falls back to the legacy scratch replay
-// (stats.FullReplay), guaranteeing the same acceptance decisions.
+// State reconstruction replays only this node's own blocks between the
+// replay base and the fork point (see the file comment), applying their
+// state transitions without re-verifying them. For the common reconnect
+// case (suffix extends the tip) nothing is replayed at all. A fork below
+// a bootstrap anchor, or one whose replay would need pruned bodies, is
+// refused: this replica cannot reconstruct the state at its fork point.
 //
-// Like AdoptChain, AdoptSuffix runs no OnAppend callbacks and does not
-// check block timestamps against Now; on success all chain-derived state
-// is swapped atomically and true is returned. On any rejection the
-// engine is left exactly as it was.
+// AdoptSuffix runs no OnAppend callbacks and does not check block
+// timestamps against Now; on success all chain-derived state is swapped
+// atomically and true is returned. On any rejection the engine is left
+// exactly as it was.
 func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 	var st SuffixStats
 	forkPoint, err := e.ch.CheckSuffixLinks(suffix)
@@ -195,74 +249,41 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 	if cp := e.LastCheckpoint(); cp > 0 && forkPoint < cp {
 		return st, false
 	}
+
+	var base snapshot
+	owned := false // base is already a private copy
+	if forkPoint == e.ch.Height() {
+		base = e.liveState() // pure catch-up: the live state is the fork-point state
+	} else if s, ok := e.bestSnapshot(forkPoint); ok {
+		base = s
+	} else {
+		st.FullReplay = true
+		if base = e.anchor; base.ledger == nil {
+			base, owned = e.genesisState(), true
+		}
+	}
+	// The replay needs our bodies (base.height, forkPoint] and the
+	// fork-point block; the body window is contiguous, so checking both
+	// ends suffices.
+	if base.height > forkPoint || e.ch.At(forkPoint) == nil ||
+		base.height < forkPoint && e.ch.At(base.height+1) == nil {
+		return st, false
+	}
 	st.ParallelVerified, err = e.verifyContent(suffix)
 	if err != nil {
 		return st, false
 	}
 
-	// Reconstruct ledger/view/index state as of the fork point.
-	var (
-		ledger     *pos.Ledger
-		view       *StorageView
-		inChain    map[meta.DataID]bool
-		liveItems  map[meta.DataID]*meta.Item
-		replayFrom uint64
-	)
-	if forkPoint == e.ch.Height() {
-		// Pure catch-up: the live state *is* the fork-point state. Clone it
-		// so a claim failure mid-suffix leaves the engine untouched.
-		ledger = e.ledger.Clone()
-		view = e.view.Clone()
-		inChain = make(map[meta.DataID]bool, len(e.inChain))
-		for id := range e.inChain {
-			inChain[id] = true
-		}
-		liveItems = make(map[meta.DataID]*meta.Item, len(e.liveItems))
-		for id, it := range e.liveItems {
-			liveItems[id] = it
-		}
-		replayFrom = forkPoint
-	} else if s, ok := e.bestSnapshot(forkPoint); ok {
-		ledger = s.ledger.Clone()
-		view = s.view.Clone()
-		inChain = make(map[meta.DataID]bool, len(s.inChain))
-		for id := range s.inChain {
-			inChain[id] = true
-		}
-		liveItems = make(map[meta.DataID]*meta.Item, len(s.liveItems))
-		for id, it := range s.liveItems {
-			liveItems[id] = it
-		}
-		replayFrom = s.height
-	} else {
-		// The fork predates every snapshot: legacy scratch replay of the
-		// synthesized full candidate. No extra network cost — the prefix is
-		// our own chain. A pruned replica cannot synthesize that prefix;
-		// refusing is safe because pruning keeps the body window above the
-		// checkpoint, so any such fork is non-finalizable history anyway.
-		if e.ch.BodyBase() != 0 {
-			return st, false
-		}
-		candidate := make([]*block.Block, 0, int(forkPoint)+1+len(suffix))
-		candidate = append(candidate, e.ch.Blocks()[:forkPoint+1]...)
-		candidate = append(candidate, suffix...)
-		st.FullReplay = true
-		st.Replayed = len(candidate) - 1
-		st.Appended = len(suffix)
-		return st, e.AdoptChain(candidate)
+	// Work on a copy so a claim failure mid-suffix leaves the engine
+	// untouched. Our own blocks were validated when first adopted, so only
+	// their state transitions run.
+	work := base
+	if !owned {
+		work = base.clone()
 	}
-
-	// Replay our own blocks (replayFrom, forkPoint] — already validated
-	// when first adopted, so only the state transitions run.
-	for h := replayFrom + 1; h <= forkPoint; h++ {
-		b := e.ch.At(h)
-		if err := ledger.ApplyBlock(b); err != nil {
-			panic(fmt.Sprintf("engine: snapshot replay at %d: %v", h, err))
-		}
-		view.ApplyBlock(b)
-		for _, it := range b.Items {
-			inChain[it.ID] = true
-			liveItems[it.ID] = it
+	for h := base.height + 1; h <= forkPoint; h++ {
+		if err := work.apply(e.ch.At(h)); err != nil {
+			panic(fmt.Sprintf("engine: replay of own block %d: %v", h, err))
 		}
 		st.Replayed++
 	}
@@ -271,17 +292,12 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 	prev := e.ch.At(forkPoint)
 	for _, b := range suffix {
 		if e.cfg.ValidateClaims {
-			if err := e.cfg.PoS.ValidateClaim(prev, b, ledger); err != nil {
+			if err := e.cfg.PoS.ValidateClaim(prev, b, work.ledger); err != nil {
 				return st, false
 			}
 		}
-		if err := ledger.ApplyBlock(b); err != nil {
+		if err := work.apply(b); err != nil {
 			return st, false
-		}
-		view.ApplyBlock(b)
-		for _, it := range b.Items {
-			inChain[it.ID] = true
-			liveItems[it.ID] = it
 		}
 		prev = b
 		st.Appended++
@@ -292,10 +308,10 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 		// Cannot happen: CheckSuffixLinks vetted the same suffix above.
 		panic("engine: suffix replace after validation: " + err.Error())
 	}
-	e.ledger = ledger
-	e.view = view
-	e.inChain = inChain
-	e.liveItems = liveItems
+	e.ledger = work.ledger
+	e.view = work.view
+	e.inChain = work.inChain
+	e.liveItems = work.liveItems
 	for _, b := range suffix {
 		for _, it := range b.Items {
 			delete(e.pool, it.ID)

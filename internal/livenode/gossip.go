@@ -30,7 +30,7 @@ import (
 // and a small LRU of hashes seen but not adopted (stale forks, timed-out
 // fetches). A fetch the announcer never answers falls back to the §10
 // sync locator path after cfg.SyncTimeout, preserving the ordering
-// announce → fetch → locator → whole-chain exchange.
+// announce → fetch → locator → locator to another peer.
 const (
 	// defaultGossipFanout is how many peers an announce is relayed to when
 	// Config.GossipFanout is 0. Six gives >99.9% epidemic saturation on
@@ -280,8 +280,8 @@ func (n *Node) handleGetBlock(from string, payload []byte) {
 
 // onGossipFetchTimeout fires when an announcer never answered a
 // FrameGetBlock: drop the pending entry and probe the announcer with a
-// block locator instead (which in turn can fall back to the whole-chain
-// exchange), so one silent peer cannot strand a block.
+// block locator instead (whose session in turn retries with another peer),
+// so one silent peer cannot strand a block.
 func (n *Node) onGossipFetchTimeout(hash block.Hash, gen uint64) {
 	n.mu.Lock()
 	g := n.gossip

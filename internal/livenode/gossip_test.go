@@ -112,7 +112,6 @@ func TestGossipReannounceAdoptedSuppressed(t *testing.T) {
 	}
 	fetches := counter(a.reg, "livenode.gossip.fetches_sent")
 	syncRounds := counter(a.reg, "livenode.sync.rounds")
-	legacyRounds := counter(a.reg, "livenode.chainsync.rounds")
 
 	for i := 0; i < 3; i++ {
 		a.handleFrame("b", p2p.FrameBlockAnnounce, ann)
@@ -122,9 +121,6 @@ func TestGossipReannounceAdoptedSuppressed(t *testing.T) {
 	}
 	if v := counter(a.reg, "livenode.sync.rounds"); v != syncRounds {
 		t.Errorf("re-announce opened a sync round: sync.rounds %d -> %d", syncRounds, v)
-	}
-	if v := counter(a.reg, "livenode.chainsync.rounds"); v != legacyRounds {
-		t.Errorf("re-announce opened a legacy exchange: chainsync.rounds %d -> %d", legacyRounds, v)
 	}
 	if v := counter(a.reg, "livenode.gossip.dup_suppressed"); v != 3 {
 		t.Errorf("gossip.dup_suppressed = %d, want 3", v)

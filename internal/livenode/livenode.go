@@ -77,12 +77,12 @@ type Config struct {
 	// SyncTimeout is the per-batch response deadline; each retry doubles
 	// it (default 2s).
 	SyncTimeout time.Duration
-	// SyncRetries is how many times an unanswered batch is re-requested
-	// before the node gives the peer up and falls back to the legacy
-	// whole-chain exchange (default 3).
+	// SyncRetries is how many times an unanswered sync request is re-sent
+	// before the node gives the peer up and sends a fresh locator to one
+	// other peer (default 3).
 	SyncRetries int
 	// SnapshotEvery is the engine's ledger-snapshot cadence in blocks;
-	// snapshots let fork suffixes adopt without a scratch replay
+	// snapshots let fork suffixes adopt without replaying from genesis
 	// (default 32, see engine.Config.SnapshotInterval).
 	SnapshotEvery int
 	// PruneDepth, when positive, runs the finite-lifetime chain
@@ -209,7 +209,6 @@ type nodeMetrics struct {
 	blocksAdopted  *telemetry.Counter // live blocks appended (any miner)
 	blocksReplayed *telemetry.Counter // blocks replayed from the WAL
 	forkAdoptions  *telemetry.Counter // longer-chain replacements accepted
-	chainSyncs     *telemetry.Counter // legacy whole-chain rounds initiated
 	dataFetchNs    *telemetry.Histogram
 
 	// Incremental sync (DESIGN.md §10).
@@ -217,12 +216,10 @@ type nodeMetrics struct {
 	syncBatches        *telemetry.Counter   // batches received and accepted
 	syncRetries        *telemetry.Counter   // batch timeouts retried
 	syncAborts         *telemetry.Counter   // sessions dropped (divergence, races)
-	syncFallbacks      *telemetry.Counter   // falls back to the legacy exchange
-	syncFullReplays    *telemetry.Counter   // scratch replays (legacy or no snapshot)
+	syncFullReplays    *telemetry.Counter   // replays from the genesis or bootstrap anchor
 	syncBlocksFetched  *telemetry.Counter   // suffix blocks received over the wire
 	syncBlocksReplayed *telemetry.Counter   // own blocks replayed from a snapshot
 	syncBytesFetched   *telemetry.Counter   // suffix payload bytes received
-	syncBytesSaved     *telemetry.Counter   // bytes a whole-chain exchange would have added
 	syncVerifyParallel *telemetry.Counter   // blocks verified by the worker pool
 	syncBatchBlocks    *telemetry.Histogram // blocks per accepted batch
 
@@ -298,7 +295,6 @@ func newNodeMetrics(reg *telemetry.Registry, rosterN int) *nodeMetrics {
 		blocksAdopted:  reg.Counter("livenode.blocks.adopted"),
 		blocksReplayed: reg.Counter("livenode.blocks.replayed"),
 		forkAdoptions:  reg.Counter("livenode.fork.adoptions"),
-		chainSyncs:     reg.Counter("livenode.chainsync.rounds"),
 		dataFetchNs:    reg.Histogram("livenode.data.fetch_ns"),
 		height:         reg.Gauge("livenode.height"),
 		events:         reg.Events(),
@@ -307,12 +303,10 @@ func newNodeMetrics(reg *telemetry.Registry, rosterN int) *nodeMetrics {
 		syncBatches:        reg.Counter("livenode.sync.batches"),
 		syncRetries:        reg.Counter("livenode.sync.retries"),
 		syncAborts:         reg.Counter("livenode.sync.aborts"),
-		syncFallbacks:      reg.Counter("livenode.sync.fallbacks"),
 		syncFullReplays:    reg.Counter("livenode.sync.full_replays"),
 		syncBlocksFetched:  reg.Counter("livenode.sync.blocks_fetched"),
 		syncBlocksReplayed: reg.Counter("livenode.sync.blocks_replayed"),
 		syncBytesFetched:   reg.Counter("livenode.sync.bytes_fetched"),
-		syncBytesSaved:     reg.Counter("livenode.sync.bytes_saved"),
 		syncVerifyParallel: reg.Counter("livenode.sync.verify_parallel"),
 		syncBatchBlocks:    reg.Histogram("livenode.sync.batch_blocks"),
 
@@ -535,7 +529,7 @@ func New(cfg Config) (*Node, error) {
 
 	// Crash recovery: replay blocks the store persisted in earlier runs
 	// before going online. Everything mined while this node was down is
-	// then caught up over the normal FrameChainRequest sync path.
+	// then caught up over the normal locator sync path (DESIGN.md §10).
 	n.replayRecovered()
 
 	transport, err := cfg.NewTransport(p2p.HandlerFunc(n.handleFrame))

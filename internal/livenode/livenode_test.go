@@ -260,30 +260,3 @@ func TestLiveRejectsWrongRoster(t *testing.T) {
 		t.Fatal("identity outside roster accepted")
 	}
 }
-
-func TestChainCodecRoundTrip(t *testing.T) {
-	nodes := newCluster(t, 2, time.Second)
-	waitFor(t, 15*time.Second, "a block", func() bool { return nodes[0].Height() >= 1 })
-	nodes[0].mu.Lock()
-	blocks := nodes[0].eng.Chain().Blocks()
-	enc := encodeChain(blocks)
-	nodes[0].mu.Unlock()
-	got, err := decodeChain(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(blocks) {
-		t.Fatalf("decoded %d blocks, want %d", len(got), len(blocks))
-	}
-	for i := range got {
-		if got[i].Hash != blocks[i].Hash {
-			t.Fatalf("block %d hash mismatch", i)
-		}
-	}
-	if _, err := decodeChain(enc[:10]); err == nil {
-		t.Fatal("truncated chain decoded")
-	}
-	if _, err := decodeChain(nil); err == nil {
-		t.Fatal("nil chain decoded")
-	}
-}

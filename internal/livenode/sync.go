@@ -11,12 +11,10 @@ import (
 	"repro/internal/p2p"
 )
 
-// Incremental batched chain sync (DESIGN.md §10). Instead of shipping a
-// whole chain on every gap or fork (the Naivechain-style FrameChain
-// exchange, kept as a fallback), a lagging node sends a block locator,
-// learns the fork point and a bounded header range from the peer, and
-// fetches only the missing suffix in bounded batches with per-batch
-// timeouts and exponential retry backoff:
+// Incremental batched chain sync (DESIGN.md §10). A lagging or forked
+// node sends a block locator, learns the fork point and a bounded header
+// range from the peer, and fetches only the missing suffix in bounded
+// batches with per-batch timeouts and exponential retry backoff:
 //
 //	lagging node                         peer
 //	  FrameSyncLocator(locator) ─────────▶
@@ -25,11 +23,18 @@ import (
 //	  ◀──────────────── FrameSyncBatch(blocks) ┘ timeout ⇒ retry/backoff
 //	  … engine.AdoptSuffix …
 //
+// A fork deeper than one header window keeps its session: once the
+// window's blocks are in hand, a locator rooted at the last fetched block
+// asks the same peer for the next window, until the collected suffix
+// passes our tip. A peer that stays silent through every retry is given
+// up, and a fresh locator goes to one other peer.
+//
 // Protocol bounds. All frames are hard-bounded so a malicious peer can
 // neither trigger large allocations nor smuggle an unbounded chain:
 const (
 	// maxSyncHeaders bounds the header range of one sync round; a node
-	// lagging further simply runs multiple rounds.
+	// lagging further runs multiple rounds, and a deeper fork continues
+	// its session window by window.
 	maxSyncHeaders = 4096
 	// maxSyncBatch bounds the blocks of one FrameSyncGetBatch/Batch
 	// exchange, whatever the requester asked for.
@@ -280,12 +285,13 @@ type syncSession struct {
 	peerTip  uint64 // responder's advertised tip (may exceed the header range)
 	headers  []chain.LocatorEntry
 	suffix   []*block.Block // accumulated suffix (true-fork case only)
-	nextFrom uint64
+	nextFrom uint64         // target()+1 while awaiting the next header window
 	attempts int
 	timer    Timer
 }
 
-// target is the last height this session can fetch (end of the header range).
+// target is the last height this session can fetch (end of the header
+// window).
 func (s *syncSession) target() uint64 { return s.headers[len(s.headers)-1].Height }
 
 // headerAt returns the advertised header for height h.
@@ -356,68 +362,73 @@ func (n *Node) buildSyncHeadersLocked(loc []chain.LocatorEntry) []byte {
 	return encodeSyncHeaders(h)
 }
 
-// handleSyncHeaders processes a FrameSyncHeaders answer; if it opens a
-// session, the first batch request is sent.
+// handleSyncHeaders processes a FrameSyncHeaders answer: a fresh offer
+// opens a session, and the session's own peer answering its continuation
+// locator extends it with the next header window. Either way the next
+// batch request goes out.
 func (n *Node) handleSyncHeaders(from string, h syncHeaders) {
 	n.mu.Lock()
-	if n.closed || n.sync != nil {
+	if n.closed || len(h.Headers) == 0 {
 		n.mu.Unlock()
-		return // a session is already draining; extra offers are absorbed
-	}
-	height := n.eng.Height()
-	if h.Tip <= height || len(h.Headers) == 0 {
-		n.mu.Unlock()
-		return // peer has nothing we lack
-	}
-	ours, ok := n.eng.Chain().HeaderAt(h.Fork)
-	if !ok || ours.Hash != h.ForkHash {
-		n.mu.Unlock()
-		return // peer disagrees about our own chain: ignore the offer
-	}
-	if h.Headers[len(h.Headers)-1].Height <= height {
-		// The peer is ahead but its bounded header range cannot reach past
-		// our tip (a fork deeper than maxSyncHeaders): incremental sync
-		// cannot win here, fall back to the whole-chain exchange.
-		n.tel.syncFallbacks.Inc()
-		n.tel.chainSyncs.Inc()
-		n.mu.Unlock()
-		n.send(from, p2p.FrameChainRequest, nil)
 		return
 	}
-	n.syncGen++
-	n.sync = &syncSession{
-		gen:      n.syncGen,
-		peer:     from,
-		fork:     h.Fork,
-		peerTip:  h.Tip,
-		headers:  h.Headers,
-		nextFrom: h.Fork + 1,
+	if s := n.sync; s != nil {
+		last := s.headers[len(s.headers)-1]
+		if from != s.peer || s.nextFrom <= s.target() || h.Fork != last.Height || h.ForkHash != last.Hash {
+			n.mu.Unlock()
+			return // a session is already draining; extra offers are absorbed
+		}
+		s.headers, s.peerTip, s.attempts = h.Headers, h.Tip, 0
+	} else {
+		if h.Tip <= n.eng.Height() {
+			n.mu.Unlock()
+			return // peer has nothing we lack
+		}
+		ours, ok := n.eng.Chain().HeaderAt(h.Fork)
+		if !ok || ours.Hash != h.ForkHash {
+			n.mu.Unlock()
+			return // peer disagrees about our own chain: ignore the offer
+		}
+		n.syncGen++
+		n.sync = &syncSession{
+			gen:      n.syncGen,
+			peer:     from,
+			fork:     h.Fork,
+			peerTip:  h.Tip,
+			headers:  h.Headers,
+			nextFrom: h.Fork + 1,
+		}
 	}
-	req := n.requestBatchLocked()
+	ft, req := n.nextSyncRequestLocked()
 	n.mu.Unlock()
-	n.send(from, p2p.FrameSyncGetBatch, req)
+	n.send(from, ft, req)
 }
 
-// requestBatchLocked builds the next batch request and arms the per-batch
-// timeout with exponential backoff (n.mu held, session present).
-func (n *Node) requestBatchLocked() []byte {
+// nextSyncRequestLocked builds the session's next request and arms its
+// timeout with exponential backoff (n.mu held, session present): a batch
+// of the current header window or, once that window is fetched, a
+// continuation locator rooted at its last block, which the peer answers
+// with the next window.
+func (n *Node) nextSyncRequestLocked() (ft byte, payload []byte) {
 	s := n.sync
-	from := s.nextFrom
-	to := s.target()
-	if to > from+uint64(n.cfg.SyncBatchSize)-1 {
-		to = from + uint64(n.cfg.SyncBatchSize) - 1
-	}
 	if s.timer != nil {
 		s.timer.Stop()
 	}
 	gen := s.gen
-	timeout := n.cfg.SyncTimeout << s.attempts
-	s.timer = n.clock.AfterFunc(timeout, func() { n.onSyncTimeout(gen) })
-	return encodeGetBatch(from, to)
+	s.timer = n.clock.AfterFunc(n.cfg.SyncTimeout<<s.attempts, func() { n.onSyncTimeout(gen) })
+	if s.nextFrom > s.target() {
+		n.tel.syncRounds.Inc()
+		return p2p.FrameSyncLocator, encodeLocator(s.headers[len(s.headers)-1:])
+	}
+	from, to := s.nextFrom, s.target()
+	if to > from+uint64(n.cfg.SyncBatchSize)-1 {
+		to = from + uint64(n.cfg.SyncBatchSize) - 1
+	}
+	return p2p.FrameSyncGetBatch, encodeGetBatch(from, to)
 }
 
-// onSyncTimeout fires when a batch went unanswered: retry with backoff,
-// then give the peer up and fall back to the legacy whole-chain exchange.
+// onSyncTimeout fires when a request went unanswered: retry with backoff,
+// then drop the session and send a fresh locator to one other peer.
 func (n *Node) onSyncTimeout(gen uint64) {
 	n.mu.Lock()
 	s := n.sync
@@ -427,25 +438,35 @@ func (n *Node) onSyncTimeout(gen uint64) {
 	}
 	s.attempts++
 	if s.attempts > n.cfg.SyncRetries {
-		peer := s.peer
-		n.clearSyncLocked()
-		n.tel.syncFallbacks.Inc()
-		n.tel.chainSyncs.Inc()
+		failed := s.peer
+		n.abortSyncLocked("peer " + failed + " silent through every retry")
 		n.mu.Unlock()
-		n.send(peer, p2p.FrameChainRequest, nil)
+		n.sendSyncLocator(n.otherSyncPeer(failed))
 		return
 	}
 	n.tel.syncRetries.Inc()
-	req := n.requestBatchLocked()
+	ft, req := n.nextSyncRequestLocked()
 	peer := s.peer
 	n.mu.Unlock()
-	n.send(peer, p2p.FrameSyncGetBatch, req)
+	n.send(peer, ft, req)
+}
+
+// otherSyncPeer picks where a dropped session retries: one peer other
+// than failed, drawn by the gossip plane's seeded sampler so virtual-clock
+// runs stay deterministic. With no other peer, or without gossip (legacy
+// push), it returns "" and the locator goes to every peer. Callers must
+// NOT hold n.mu.
+func (n *Node) otherSyncPeer(failed string) string {
+	if peers := n.sampleGossipPeers(failed); len(peers) > 0 {
+		return peers[0]
+	}
+	return ""
 }
 
 // handleSyncBatch ingests one FrameSyncBatch. Catch-up batches (fork at
 // our tip) are adopted immediately — verification and ledger application
 // of batch k overlap the network fetch of batch k+1 — while true-fork
-// suffixes accumulate until the full suffix is in hand.
+// suffixes accumulate until they pass our tip at the end of a window.
 func (n *Node) handleSyncBatch(from string, sb syncBatch) {
 	n.mu.Lock()
 	s := n.sync
@@ -487,13 +508,16 @@ func (n *Node) handleSyncBatch(from string, sb syncBatch) {
 	}
 
 	last := sb.From + uint64(len(sb.Blocks)) - 1
-	if last < s.target() {
-		s.nextFrom = last + 1
-		s.attempts = 0
-		req := n.requestBatchLocked()
+	s.nextFrom = last + 1
+	s.attempts = 0
+	belowTip := len(s.suffix) > 0 && s.fork+uint64(len(s.suffix)) <= n.eng.Height()
+	if last < s.target() || belowTip && s.peerTip > last {
+		// More of this window to fetch, or a fork deeper than the window:
+		// ask for the next batch or the next window.
+		ft, req := n.nextSyncRequestLocked()
 		peer := s.peer
 		n.mu.Unlock()
-		n.send(peer, p2p.FrameSyncGetBatch, req)
+		n.send(peer, ft, req)
 		return
 	}
 
@@ -561,18 +585,6 @@ func (n *Node) adoptSyncSuffixLocked(suffix []*block.Block) bool {
 	n.tel.syncVerifyParallel.Add(stats.ParallelVerified)
 	if stats.FullReplay {
 		n.tel.syncFullReplays.Inc()
-	}
-	// Bytes saved vs. the legacy whole-chain exchange: FrameChain would
-	// have shipped every block we already held.
-	saved := 0
-	for _, b := range n.walBlocksLocked() {
-		saved += b.EncodedSize()
-	}
-	for _, b := range suffix {
-		saved -= b.EncodedSize()
-	}
-	if saved > 0 {
-		n.tel.syncBytesSaved.Add(saved)
 	}
 	n.updateChainGauges()
 	n.tel.events.RecordAt(n.clock.Now(), "sync_adopted",

@@ -2,6 +2,7 @@ package livenode
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -326,9 +327,6 @@ func TestSyncCatchUpBatched(t *testing.T) {
 	if v := counter(a.reg, "livenode.sync.batches"); v != 3 {
 		t.Errorf("sync.batches = %d, want 3 (batch size 4)", v)
 	}
-	if v := counter(a.reg, "livenode.chainsync.rounds"); v != 0 {
-		t.Errorf("chainsync.rounds = %d, want 0 (no legacy exchange)", v)
-	}
 	if a.StoreErr() != nil {
 		t.Fatalf("store error: %v", a.StoreErr())
 	}
@@ -370,9 +368,6 @@ func TestSyncForkSuffixFromSnapshot(t *testing.T) {
 	if v := counter(a.reg, "livenode.sync.blocks_fetched"); v != 3 {
 		t.Errorf("sync.blocks_fetched = %d, want 3 (suffix only)", v)
 	}
-	if v := counter(a.reg, "livenode.sync.bytes_saved"); v == 0 {
-		t.Error("sync.bytes_saved = 0, want > 0")
-	}
 	// The WAL was rewritten to the adopted branch: a restart from the same
 	// store must recover the synced chain, not the abandoned one.
 	if a.StoreErr() != nil {
@@ -380,23 +375,41 @@ func TestSyncForkSuffixFromSnapshot(t *testing.T) {
 	}
 }
 
-func TestSyncBatchTimeoutRetriesThenLegacyFallback(t *testing.T) {
+func TestSyncBatchTimeoutRetriesThenNextPeer(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
 	b := newSyncTestNode(t, fn, "b", 1, epoch, nil)
 	b.mineBlocks(t, 5)
+	c := newSyncTestNode(t, fn, "c", 2, epoch, nil)
+	c.clock.Advance(b.clock.Now().Sub(epoch))
+	for _, blk := range b.ChainSnapshot()[1:] {
+		c.handleFrame("b", p2p.FrameBlock, blk.Encode())
+	}
+	if c.Height() != 5 {
+		t.Fatalf("c at %d, want 5", c.Height())
+	}
 	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
 
-	// Batches vanish in flight; everything else is delivered.
-	fn.drop = func(from, to string, ft byte) bool { return ft == p2p.FrameSyncBatch }
-	if err := a.Connect("b"); err != nil {
+	// b's batches vanish in flight; c stays silent while a's first locator
+	// round opens a session with b.
+	fn.setDrop(func(from, to string, ft byte) bool {
+		return from == "b" && ft == p2p.FrameSyncBatch || from == "c" && ft == p2p.FrameSyncHeaders
+	})
+	if err := a.Connect("b", "c"); err != nil {
 		t.Fatal(err)
 	}
-	if a.Height() != 0 {
-		t.Fatalf("height = %d before any retry, want 0", a.Height())
+	fn.setDrop(func(from, to string, ft byte) bool { return from == "b" && ft == p2p.FrameSyncBatch })
+	a.Node.mu.Lock()
+	peer := ""
+	if a.Node.sync != nil {
+		peer = a.Node.sync.peer
+	}
+	a.Node.mu.Unlock()
+	if peer != "b" || a.Height() != 0 {
+		t.Fatalf("session peer %q at height %d, want b at 0", peer, a.Height())
 	}
 	// Exponential backoff: 1s, then 2s, then the 4s attempt exhausts the
-	// retry budget and the node falls back to the whole-chain exchange.
+	// retry budget; the node drops b and probes c, which serves the chain.
 	a.clock.Advance(time.Second)
 	if v := counter(a.reg, "livenode.sync.retries"); v != 1 {
 		t.Fatalf("sync.retries = %d after first timeout, want 1", v)
@@ -406,17 +419,79 @@ func TestSyncBatchTimeoutRetriesThenLegacyFallback(t *testing.T) {
 		t.Fatalf("sync.retries = %d after second timeout, want 2", v)
 	}
 	a.clock.Advance(4 * time.Second)
-	if v := counter(a.reg, "livenode.sync.fallbacks"); v != 1 {
-		t.Fatalf("sync.fallbacks = %d, want 1", v)
+	if v := counter(a.reg, "livenode.sync.aborts"); v != 1 {
+		t.Fatalf("sync.aborts = %d, want 1 (session with b dropped)", v)
 	}
-	if a.Height() != 5 {
-		t.Fatalf("height after legacy fallback = %d, want 5", a.Height())
+	if a.Height() != 5 || a.Tip().Hash != c.Tip().Hash {
+		t.Fatalf("height after switching peers = %d, want 5 on c's tip", a.Height())
 	}
-	if v := counter(a.reg, "livenode.sync.full_replays"); v != 1 {
-		t.Errorf("sync.full_replays = %d, want 1 (legacy adoption)", v)
+	if v := counter(a.reg, "livenode.sync.rounds"); v != 2 {
+		t.Errorf("sync.rounds = %d, want 2 (connect probe + probe to c)", v)
 	}
-	if v := counter(a.reg, "livenode.chainsync.rounds"); v != 1 {
-		t.Errorf("chainsync.rounds = %d, want 1", v)
+	if v := counter(a.reg, "livenode.sync.full_replays"); v != 0 {
+		t.Errorf("sync.full_replays = %d, want 0 (pure catch-up)", v)
+	}
+}
+
+func TestSyncDeepForkContinuesAcrossWindows(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	bigBatches := func(cfg *Config) { cfg.SyncBatchSize = maxSyncBatch }
+	a := newSyncTestNode(t, fn, "a", 0, epoch, bigBatches)
+	b := newSyncTestNode(t, fn, "b", 1, epoch, bigBatches)
+	// Fork at genesis, deeper than one header window: b's first window
+	// (heights 1..maxSyncHeaders) cannot pass a's tip.
+	a.mineBlocks(t, maxSyncHeaders+10)
+	b.mineBlocks(t, maxSyncHeaders+30)
+
+	if err := a.Connect("b"); err != nil {
+		t.Fatal(err)
+	}
+	if a.Height() != b.Height() || a.Tip().Hash != b.Tip().Hash {
+		t.Fatalf("a at %d, b at %d: deep fork did not converge", a.Height(), b.Height())
+	}
+	if v := counter(a.reg, "livenode.sync.rounds"); v != 2 {
+		t.Errorf("sync.rounds = %d, want 2 (connect probe + one continuation)", v)
+	}
+	if v := counter(a.reg, "livenode.sync.blocks_fetched"); v != b.Height() {
+		t.Errorf("sync.blocks_fetched = %d, want %d (each block once)", v, b.Height())
+	}
+	if v := counter(a.reg, "livenode.fork.adoptions"); v != 1 {
+		t.Errorf("fork.adoptions = %d, want 1", v)
+	}
+	if v := counter(a.reg, "livenode.sync.aborts"); v != 0 {
+		t.Errorf("sync.aborts = %d, want 0", v)
+	}
+	if a.StoreErr() != nil {
+		t.Fatalf("store error: %v", a.StoreErr())
+	}
+}
+
+func TestRetiredChainFramesIgnored(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
+	a.mineBlocks(t, 3)
+	tip := a.Tip().Hash
+
+	// The retired whole-chain exchange: a request, and a chain frame whose
+	// 8-byte header claims 2^20 blocks.
+	forged := append(putU64(nil, 1<<20), make([]byte, 64)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn.startCounting()
+	a.handleFrame("x", p2p.FrameChainRequest, nil)
+	a.handleFrame("x", p2p.FrameChain, forged)
+	_, frames := fn.stopCounting()
+	runtime.ReadMemStats(&after)
+	if frames != 0 {
+		t.Fatalf("retired chain frames drew %d replies", frames)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("retired chain frames allocated %d bytes", grew)
+	}
+	if a.Height() != 3 || a.Tip().Hash != tip {
+		t.Fatal("retired chain frames changed the chain")
 	}
 }
 

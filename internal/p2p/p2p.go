@@ -42,9 +42,10 @@ const (
 	FrameBlock
 	// FrameMeta carries one encoded metadata item.
 	FrameMeta
-	// FrameChainRequest asks the peer for its full chain.
+	// FrameChainRequest and FrameChain are retired: they carried the
+	// whole-chain exchange that locator sync replaced. The numbers stay
+	// reserved so later frame types keep their values; nodes ignore both.
 	FrameChainRequest
-	// FrameChain carries a full chain (count + length-prefixed blocks).
 	FrameChain
 	// FrameDataRequest carries a 32-byte data ID.
 	FrameDataRequest

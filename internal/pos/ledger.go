@@ -29,8 +29,9 @@ type Ledger struct {
 	// rented tracks Nxt-style token rentals (Section V-D: a new node can
 	// "rent some resources from an existing node to get started"):
 	// positive for borrowers, negative for lenders. Rentals happen through
-	// an out-of-band agreement, so they are not chain-derived state; they
-	// reset on Rebuild.
+	// an out-of-band agreement, so they are not chain-derived state; a
+	// ledger rebuilt by replaying the chain from genesis starts without
+	// them.
 	rented []int64
 	// applied is the height of the last applied block, to enforce in-order
 	// application.
@@ -182,27 +183,6 @@ func (l *Ledger) Clone() *Ledger {
 		scale:        l.scale,
 	}
 	return cp
-}
-
-// Rebuild replays a whole chain (excluding genesis) into a fresh state;
-// used when a node adopts a longer fork.
-func (l *Ledger) Rebuild(blocks []*block.Block) error {
-	for i := range l.mined {
-		l.mined[i] = 0
-		l.stored[i] = 0
-		l.rented[i] = 0
-	}
-	l.applied = 0
-	l.scale = 1
-	for _, b := range blocks {
-		if b.Index == 0 {
-			continue
-		}
-		if err := l.ApplyBlock(b); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // LedgerState is the chain-derived portion of a ledger in exportable form,

@@ -203,27 +203,6 @@ func TestLedgerOutOfOrderApply(t *testing.T) {
 	}
 }
 
-func TestLedgerRebuild(t *testing.T) {
-	addrs, ids := testAccounts(2, 7)
-	l := NewLedger(addrs)
-	g := block.Genesis(1)
-	b1 := minedBlock(g, ids[0], []int{1}, nil, nil)
-	b2 := minedBlock(b1, ids[0], nil, nil, nil)
-	if err := l.Rebuild([]*block.Block{g, b1, b2}); err != nil {
-		t.Fatal(err)
-	}
-	if l.S(0) != 3 || l.Q(1) != 2 {
-		t.Fatalf("rebuild state wrong: S(0)=%d Q(1)=%d", l.S(0), l.Q(1))
-	}
-	// Rebuild again must be idempotent.
-	if err := l.Rebuild([]*block.Block{g, b1, b2}); err != nil {
-		t.Fatal(err)
-	}
-	if l.S(0) != 3 {
-		t.Fatal("second rebuild accumulated state")
-	}
-}
-
 func TestRescaleInvariance(t *testing.T) {
 	// Rescaling S (Section V-B) must leave winning times unchanged: B
 	// grows by exactly the ratio that U shrinks.
@@ -469,25 +448,6 @@ func TestRentErrors(t *testing.T) {
 	}
 }
 
-func TestRentResetOnRebuild(t *testing.T) {
-	addrs, ids := testAccounts(2, 22)
-	l := NewLedger(addrs)
-	g := block.Genesis(1)
-	b1 := minedBlock(g, ids[0], nil, nil, nil)
-	if err := l.ApplyBlock(b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Rent(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Rebuild([]*block.Block{g, b1}); err != nil {
-		t.Fatal(err)
-	}
-	if l.S(0) != 2 || l.S(1) != 1 {
-		t.Fatalf("rentals survived rebuild: S(0)=%d S(1)=%d", l.S(0), l.S(1))
-	}
-}
-
 func TestAutomaticRescale(t *testing.T) {
 	addrs, ids := testAccounts(3, 30)
 	l := NewLedger(addrs)
@@ -523,19 +483,5 @@ func TestAutomaticRescale(t *testing.T) {
 				t.Fatalf("relative advantage changed: U(%d)/U(%d) = %v vs %v", i, j, a, b)
 			}
 		}
-	}
-	// Rebuild resets the scale and replays the automatic rescaling.
-	blocks := []*block.Block{g}
-	prev = g
-	for i := 0; i < 12; i++ {
-		b := minedBlock(prev, ids[i%3], []int{i % 3}, nil, nil)
-		blocks = append(blocks, b)
-		prev = b
-	}
-	if err := l.Rebuild(blocks); err != nil {
-		t.Fatal(err)
-	}
-	if l.Scale() != 4 {
-		t.Fatalf("scale after rebuild = %v, want 4", l.Scale())
 	}
 }

@@ -22,7 +22,7 @@ import (
 // incrementally from engine OnAppend feeds must be bit-identical — same
 // Snapshot() — to one rebuilt from scratch off the same chain, across
 // fresh announcements, migrations/re-announcements, item expiry, suffix
-// catch-up sync (AdoptSuffix) and whole-chain fork adoption (AdoptChain).
+// catch-up sync and fork adoption (both through AdoptSuffix).
 // It also cross-checks provider sets against the engine's own StorageView,
 // the consensus-side source of truth for live assignments.
 
@@ -220,9 +220,10 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 	checkDifferential(t, "suffix-sync", late, lateIdx, c.now)
 
 	// Phase 4: fork adoption. A disjoint group mines a longer chain from
-	// the same genesis; engine 0 adopts it wholesale (AdoptChain), which
-	// invalidates incremental state — the index is rebuilt, and the result
-	// must match an index that followed the winning chain incrementally.
+	// the same genesis; engine 0 adopts everything past the last shared
+	// block (AdoptSuffix), which invalidates incremental state — the index
+	// is rebuilt, and the result must match an index that followed the
+	// winning chain incrementally.
 	f := newDiffCluster(t, n)
 	f.now = c.now
 	fIdx := repair.NewIndex(n)
@@ -241,8 +242,16 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 		f.mineNext(t, all)
 	}
 	c.now = f.now
-	if !c.engines[0].AdoptChain(f.engines[0].Chain().Blocks()) {
+	winner := f.engines[0].Chain().Blocks()
+	fork := 0
+	for fork+1 < len(winner) && c.engines[0].Chain().HasHash(winner[fork+1].Hash) {
+		fork++
+	}
+	if _, ok := c.engines[0].AdoptSuffix(winner[fork+1:]); !ok {
 		t.Fatal("engine 0 refused the longer fork")
+	}
+	if c.engines[0].Tip().Hash != f.engines[0].Tip().Hash {
+		t.Fatal("engine 0 did not adopt the winner's tip")
 	}
 	inc.Rebuild(c.engines[0].Chain().Blocks())
 	checkDifferential(t, "fork-adopt", c.engines[0], inc, c.now)
