@@ -7,15 +7,14 @@ import (
 	"repro/internal/p2p/memnet"
 )
 
-// measureBlockPropagation mines a 128-node cluster to a fixed height with
-// the given gossip fanout (-1 = legacy full-mesh push) and returns each
-// node's peak and summed livenode.wire.block_bytes — every FrameBlock,
-// FrameBlockAnnounce and FrameGetBlock byte counted at its sender — plus
-// the converged height for normalization.
-func measureBlockPropagation(t *testing.T, fanout int) (peak, total, height uint64) {
+// measureBlockPropagation mines a 128-node cluster to a fixed height and
+// returns each node's peak and summed livenode.wire.block_bytes — every
+// FrameBlock, FrameBlockAnnounce and FrameGetBlock byte counted at its
+// sender — plus the converged height for normalization.
+func measureBlockPropagation(t *testing.T) (peak, total, height uint64) {
 	t.Helper()
 	const n, targetHeight = 128, 8
-	c := newQuietCluster(t, Options{N: n, Seed: *seedFlag, GossipFanout: fanout})
+	c := newQuietCluster(t, Options{N: n, Seed: *seedFlag})
 	reached := func() bool {
 		for _, node := range c.Nodes() {
 			if node.Height() < targetHeight {
@@ -41,29 +40,34 @@ func measureBlockPropagation(t *testing.T, fanout int) (peak, total, height uint
 	return peak, total, c.Nodes()[0].Height()
 }
 
-// TestGossipBeatsFullMeshFiveFold is the ISSUE's wire-bytes acceptance
-// gate (the block-propagation sibling of TestSyncCatchupBeatsLegacyFiveFold):
-// at 128 nodes, inv-style gossip must cut the PEAK per-node
-// block-propagation egress at least 5x versus the legacy full-mesh push.
-// Peak — not total — is the honest metric: every node still receives each
-// body exactly once, so cluster-total bytes cannot shrink much; what
-// gossip removes is the miner's O(n) body fan-out, replacing it with
-// O(fanout) 40-byte announces plus at most fanout served bodies.
-func TestGossipBeatsFullMeshFiveFold(t *testing.T) {
-	gPeak, gTotal, gHeight := measureBlockPropagation(t, 0)
-	lPeak, lTotal, lHeight := measureBlockPropagation(t, -1)
-	if gHeight == 0 || lHeight == 0 {
-		t.Fatalf("cluster mined nothing: gossip height %d, legacy height %d", gHeight, lHeight)
-	}
+// legacyBlockPushPeakPerBlock is the peak per-node block-propagation
+// egress per adopted block that the retired full-mesh FrameBlock push
+// spent on this gate's 128-node scenario: 17,455 B on seed 1 and
+// 19,637 B on seeds 7 and 1337. The scenario is deterministic, so the
+// baseline is a recorded constant; the smallest seed's value keeps every
+// seed's gate at least as tight as the live comparison was.
+const legacyBlockPushPeakPerBlock = 17_455
 
-	// Normalize per adopted block: the two runs consume the fault RNG
-	// differently, so their converged heights can differ by a block.
-	gRate := float64(gPeak) / float64(gHeight)
-	lRate := float64(lPeak) / float64(lHeight)
-	t.Logf("peak per-node block-propagation egress per block: gossip %.0f B (height %d), legacy %.0f B (height %d) — %.1fx; totals: gossip %d B, legacy %d B (%.2fx)",
-		gRate, gHeight, lRate, lHeight, lRate/gRate, gTotal, lTotal, float64(lTotal)/float64(gTotal))
-	if gRate*5 > lRate {
-		t.Errorf("gossip peak egress %.0f B/block, legacy %.0f B/block — want >= 5x reduction", gRate, lRate)
+// TestGossipBeatsFullMeshFiveFold is the block-propagation wire-bytes
+// gate (the sibling of TestSyncCatchupBeatsLegacyFiveFold): at 128 nodes,
+// inv-style gossip must keep the PEAK per-node block-propagation egress
+// per block at or below the recorded full-mesh baseline ÷ 5, i.e.
+// 3,491 B. Peak — not total — is the honest metric: every node still
+// receives each body exactly once, so cluster-total bytes cannot shrink
+// much; what gossip removes is the miner's O(n) body fan-out, replacing
+// it with O(fanout) 40-byte announces plus at most fanout served bodies.
+func TestGossipBeatsFullMeshFiveFold(t *testing.T) {
+	peak, total, height := measureBlockPropagation(t)
+	if height == 0 {
+		t.Fatal("cluster mined nothing")
+	}
+	rate := float64(peak) / float64(height)
+	ceiling := float64(legacyBlockPushPeakPerBlock) / 5
+	t.Logf("peak per-node block-propagation egress per block: gossip %.0f B (height %d), ceiling %.0f B (recorded full-mesh %d B / 5) — %.1fx; total %d B",
+		rate, height, ceiling, legacyBlockPushPeakPerBlock, legacyBlockPushPeakPerBlock/rate, total)
+	if rate > ceiling {
+		t.Errorf("gossip peak egress %.0f B/block, ceiling %.0f B/block (recorded full-mesh %d B / 5)",
+			rate, ceiling, legacyBlockPushPeakPerBlock)
 	}
 }
 

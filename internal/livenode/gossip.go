@@ -46,11 +46,9 @@ const (
 	maxPendingFetch = 64
 )
 
-// gossipState is the node's announce/fetch bookkeeping; nil when gossip
-// is disabled (Config.GossipFanout < 0) and the legacy full-mesh push is
-// in effect. The same sampler and seen/pending discipline also runs the
-// metadata relay (DESIGN.md §15) when Config.MetaFanout selects it. All
-// fields are guarded by Node.mu.
+// gossipState is the node's announce/fetch bookkeeping. The same fanout,
+// sampler and seen/pending discipline run both the block relay and the
+// metadata relay (DESIGN.md §15). All fields are guarded by Node.mu.
 type gossipState struct {
 	fanout  int
 	rng     *rand.Rand           // node-local, deterministically seeded peer sampling
@@ -58,9 +56,7 @@ type gossipState struct {
 	pending map[block.Hash]*pendingFetch
 	gen     uint64 // fetch generation, guards stale timers
 
-	// Metadata relay (DESIGN.md §15); metaFanout < 0 keeps the legacy
-	// full-mesh FrameMeta push even while block gossip runs.
-	metaFanout  int
+	// Metadata relay (DESIGN.md §15).
 	metaSeen    *seenLRU[meta.DataID] // announced IDs not (or not yet) pooled
 	metaPending map[meta.DataID]*pendingMetaFetch
 	metaGen     uint64
@@ -74,13 +70,12 @@ type pendingFetch struct {
 	timer  Timer
 }
 
-func newGossipState(fanout, metaFanout int, seed int64) *gossipState {
+func newGossipState(fanout int, seed int64) *gossipState {
 	return &gossipState{
 		fanout:      fanout,
 		rng:         rand.New(rand.NewSource(seed)),
 		seen:        newSeenLRU[block.Hash](gossipSeenCap),
 		pending:     make(map[block.Hash]*pendingFetch),
-		metaFanout:  metaFanout,
 		metaSeen:    newSeenLRU[meta.DataID](metaSeenCap),
 		metaPending: make(map[meta.DataID]*pendingMetaFetch),
 	}
@@ -166,9 +161,10 @@ func (n *Node) relayBlock(blk *block.Block, exclude string) {
 }
 
 // sampleGossipPeers draws up to fanout distinct peers from the sorted
-// peer list, excluding `exclude`. Sorting before sampling makes the draw
-// a pure function of the peer set and the node's seeded RNG, which is
-// what keeps deterministic chaos runs bit-identical.
+// peer list, excluding `exclude`, for the block and metadata relays and
+// the sync retry (callers must NOT hold n.mu). Sorting before sampling
+// makes the draw a pure function of the peer set and the node's seeded
+// RNG, which is what keeps deterministic chaos runs bit-identical.
 func (n *Node) sampleGossipPeers(exclude string) []string {
 	peers := n.net.Peers()
 	cand := peers[:0]
@@ -180,11 +176,10 @@ func (n *Node) sampleGossipPeers(exclude string) []string {
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	g := n.gossip
-	if g == nil || n.closed {
+	if n.closed {
 		return nil
 	}
-	return samplePeersLocked(g.rng, cand, g.fanout)
+	return samplePeersLocked(n.gossip.rng, cand, n.gossip.fanout)
 }
 
 // samplePeersLocked draws up to k distinct entries from cand via a
@@ -215,11 +210,11 @@ func (n *Node) handleBlockAnnounce(from string, payload []byte) {
 		return
 	}
 	n.mu.Lock()
-	g := n.gossip
-	if g == nil || n.closed {
+	if n.closed {
 		n.mu.Unlock()
 		return
 	}
+	g := n.gossip
 	switch {
 	case n.eng.Chain().ByHash(hash) != nil:
 		// Already adopted: a re-announce carries no information and must
@@ -284,11 +279,11 @@ func (n *Node) handleGetBlock(from string, payload []byte) {
 // so one silent peer cannot strand a block.
 func (n *Node) onGossipFetchTimeout(hash block.Hash, gen uint64) {
 	n.mu.Lock()
-	g := n.gossip
-	if g == nil || n.closed {
+	if n.closed {
 		n.mu.Unlock()
 		return
 	}
+	g := n.gossip
 	pf := g.pending[hash]
 	if pf == nil || pf.gen != gen {
 		n.mu.Unlock()
@@ -310,9 +305,6 @@ func (n *Node) onGossipFetchTimeout(hash block.Hash, gen uint64) {
 // not refetch. Returns whether the adopted block should be relayed.
 func (n *Node) noteGossipBlockLocked(blk *block.Block, adopted bool) (relay bool) {
 	g := n.gossip
-	if g == nil {
-		return false
-	}
 	if pf := g.pending[blk.Hash]; pf != nil {
 		pf.timer.Stop()
 		delete(g.pending, blk.Hash)
@@ -329,9 +321,6 @@ func (n *Node) noteGossipBlockLocked(blk *block.Block, adopted bool) (relay bool
 // teardowns call it.
 func (n *Node) clearGossipLocked() {
 	g := n.gossip
-	if g == nil {
-		return
-	}
 	for h, pf := range g.pending {
 		pf.timer.Stop()
 		delete(g.pending, h)

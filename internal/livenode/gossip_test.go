@@ -270,38 +270,6 @@ func TestGossipPendingOverflowDegradesToSync(t *testing.T) {
 	}
 }
 
-func TestGossipDisabledIgnoresAnnouncesAndPushesFullBlocks(t *testing.T) {
-	fn := newFakeNet()
-	epoch := time.Unix(1700000000, 0)
-	legacy := func(cfg *Config) { cfg.GossipFanout = -1 }
-	clk := newFakeClock(epoch)
-	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, legacy)
-	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, legacy)
-	a.stopMining()
-	b.mineBlocks(t, 1)
-	link(t, a, b)
-
-	if a.Node.gossip != nil {
-		t.Fatal("GossipFanout=-1 left gossip state armed")
-	}
-	tip := b.Tip()
-	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(tip.Index, tip.Hash))
-	if a.Height() != 0 {
-		t.Fatalf("legacy node acted on an announce: height %d", a.Height())
-	}
-	if v := counter(a.reg, "livenode.gossip.fetches_sent"); v != 0 {
-		t.Errorf("legacy node sent a gossip fetch")
-	}
-	// The legacy push path still works end to end.
-	a.handleFrame("b", p2p.FrameBlock, tip.Encode())
-	if a.Height() != 1 {
-		t.Fatalf("legacy push not adopted: height %d", a.Height())
-	}
-	if v := counter(a.reg, "livenode.gossip.relays"); v != 0 {
-		t.Errorf("legacy node relayed an announce")
-	}
-}
-
 func TestGossipSamplingBoundedAndExcludes(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)

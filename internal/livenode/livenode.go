@@ -110,22 +110,14 @@ type Config struct {
 	// Without it, fetches no peer can answer would pin their tracking
 	// entry forever.
 	FetchTimeout time.Duration
-	// GossipFanout selects the block propagation mode (DESIGN.md §13).
-	// 0 means gossip with the default fanout (6); a positive value gossips
-	// with that fanout; a negative value disables gossip entirely and
-	// restores the legacy full-mesh push (every won block broadcast in
-	// full to every peer). Under gossip, adopting a new block announces
-	// (height, hash) to a seeded random sample of GossipFanout peers and
-	// peers fetch only bodies they lack; an unanswered fetch falls back to
-	// the §10 sync locator path after SyncTimeout.
+	// GossipFanout is how many peers the inv-style block and metadata
+	// relays announce to (DESIGN.md §13, §15; 0 = default 6, negative is
+	// rejected). Adopting a new block announces (height, hash), and
+	// pooling a new item announces its ID, to a seeded random sample of
+	// GossipFanout peers; peers fetch only what they lack. An unanswered
+	// block fetch falls back to the §10 sync locator path after
+	// SyncTimeout.
 	GossipFanout int
-	// MetaFanout selects the metadata propagation mode (DESIGN.md §15).
-	// 0 follows GossipFanout (metadata gossips whenever blocks do, with the
-	// same fanout); a positive value gossips metadata with that fanout; a
-	// negative value keeps the legacy full-mesh push (every published item
-	// broadcast in full to every peer). When GossipFanout is negative the
-	// gossip machinery is absent and metadata always uses the legacy push.
-	MetaFanout int
 
 	// RepairWorkers enables the self-healing data plane (DESIGN.md §11)
 	// and bounds its concurrent targeted fetches; 0 disables repair
@@ -138,13 +130,11 @@ type Config struct {
 	// RepairProbeEvery is the repair tick cadence: liveness probing,
 	// membership sweep and queue pump (default 2s).
 	RepairProbeEvery time.Duration
-	// ProbeFanout selects the liveness-evidence mode (DESIGN.md §15).
-	// 0 probes a default sample of 4 roster peers per tick; a positive
-	// value probes that many; a negative value restores the legacy
-	// heartbeat broadcast (the roster announce pushed to every peer every
-	// tick — O(n²) traffic across the deployment). Sampled probes carry
-	// bounded third-party liveness digests on their acks, so evidence still
-	// spreads epidemically.
+	// ProbeFanout is how many roster peers are probed per repair tick
+	// (DESIGN.md §15; 0 = default 4, negative is rejected). Sampled probes
+	// carry bounded third-party liveness digests on their acks, so
+	// evidence spreads epidemically. A roster too small for sampling to
+	// pay (fanout ≥ roster−1) broadcasts the roster announce instead.
 	ProbeFanout int
 	// RepairSuspectAfter is the silence after which a roster node turns
 	// suspect (default 6s); RepairHysteresis is the ADDITIONAL silence
@@ -192,7 +182,7 @@ type Node struct {
 	sync          *syncSession              // at most one incremental sync in flight
 	syncGen       uint64                    // session generation, guards stale timers
 	repair        *repairDriver             // nil when repair is disabled
-	gossip        *gossipState              // nil when gossip is disabled (legacy push)
+	gossip        *gossipState              // block and metadata relay state
 	boot          *bootstrapState           // at most one snapshot bootstrap in flight
 	bootGen       uint64                    // bootstrap generation, guards stale timers
 	bootHold      bool                      // fresh node: mining held for the first bootstrap attempt
@@ -270,7 +260,7 @@ type nodeMetrics struct {
 	// Wire-byte split, counted at the sender across all app frames.
 	// Block-propagation bytes (FrameBlock + announce + get-block) are
 	// additionally tallied in wireBlockBytes, and announce frames alone in
-	// wireAnnounceBytes, so gossip-vs-full-mesh gates can compare the
+	// wireAnnounceBytes, so the §13 gossip gate can measure the
 	// propagation path in isolation.
 	wireConsensusBytes *telemetry.Counter
 	wireDataBytes      *telemetry.Counter
@@ -389,6 +379,12 @@ func New(cfg Config) (*Node, error) {
 	if err := cfg.PoS.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.GossipFanout < 0 {
+		return nil, fmt.Errorf("livenode: GossipFanout %d invalid: want >= 0", cfg.GossipFanout)
+	}
+	if cfg.ProbeFanout < 0 {
+		return nil, fmt.Errorf("livenode: ProbeFanout %d invalid: want >= 0", cfg.ProbeFanout)
+	}
 	if cfg.StorageCapacity == 0 {
 		cfg.StorageCapacity = 250
 	}
@@ -447,6 +443,9 @@ func New(cfg Config) (*Node, error) {
 		if cfg.RepairReplicaFloor <= 0 {
 			cfg.RepairReplicaFloor = alloc.DefaultMinReplicas
 		}
+		if cfg.ProbeFanout == 0 {
+			cfg.ProbeFanout = defaultProbeFanout
+		}
 	}
 	if cfg.NewTransport == nil {
 		cfg.NewTransport = func(h p2p.Handler) (p2p.Transport, error) {
@@ -471,16 +470,10 @@ func New(cfg Config) (*Node, error) {
 		fetchStart: make(map[meta.DataID]time.Time),
 		tel:        newNodeMetrics(cfg.Telemetry, len(cfg.Accounts)),
 	}
-	if cfg.GossipFanout > 0 {
-		metaFanout := cfg.MetaFanout
-		if metaFanout == 0 {
-			metaFanout = cfg.GossipFanout
-		}
-		// Seed the sampling RNG from deployment-shared state plus our own
-		// roster index: deterministic per node, distinct across nodes, so
-		// virtual-clock chaos runs replay bit-identically.
-		n.gossip = newGossipState(cfg.GossipFanout, metaFanout, cfg.GenesisSeed^(int64(selfIdx+1)*0x9E3779B9))
-	}
+	// Seed the sampling RNG from deployment-shared state plus our own
+	// roster index: deterministic per node, distinct across nodes, so
+	// virtual-clock chaos runs replay bit-identically.
+	n.gossip = newGossipState(cfg.GossipFanout, cfg.GenesisSeed^(int64(selfIdx+1)*0x9E3779B9))
 
 	// The repair driver must exist before the engine: the engine's
 	// Liveness callback reads its churn detector during Mine.
@@ -794,7 +787,7 @@ func (n *Node) StorageUsed() []int {
 func (n *Node) now() time.Duration { return n.clock.Now().Sub(n.cfg.Epoch) }
 
 // Publish creates a data item from content, stores it locally, and
-// broadcasts the signed metadata.
+// announces the signed metadata through the relay.
 func (n *Node) Publish(content []byte, typ, locationName string) (*meta.Item, error) {
 	it := &meta.Item{
 		ID:           meta.HashData(content),
@@ -809,15 +802,10 @@ func (n *Node) Publish(content []byte, typ, locationName string) (*meta.Item, er
 	}
 	n.mu.Lock()
 	n.eng.AddLocal(it)
-	relay := n.metaGossipEnabledLocked()
 	n.mu.Unlock()
-	if relay {
-		// Inv-style relay (§15): announce only the 32-byte ID to a bounded
-		// sample; peers fetch the item and re-announce on first admission.
-		n.relayMeta([]meta.DataID{it.ID}, "")
-	} else {
-		n.bcast(p2p.FrameMeta, it.Encode())
-	}
+	// Inv-style relay (§15): announce only the 32-byte ID to a bounded
+	// sample; peers fetch the item and re-announce on first admission.
+	n.relayMeta([]meta.DataID{it.ID}, "")
 	return it, nil
 }
 

@@ -2,11 +2,13 @@ package livenode
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/identity"
 	"repro/internal/meta"
+	"repro/internal/p2p"
 	"repro/internal/pos"
 	"repro/internal/telemetry"
 )
@@ -258,5 +260,54 @@ func TestLiveRejectsWrongRoster(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("identity outside roster accepted")
+	}
+}
+
+// TestNewRejectsNegativeFanouts pins that a negative GossipFanout or
+// ProbeFanout is refused with an error naming the field, whether or not
+// repair is on, while zero (the default) and positive values start a node.
+func TestNewRejectsNegativeFanouts(t *testing.T) {
+	idents, accounts := testRoster(3)
+	for _, tc := range []struct {
+		name    string
+		mutate  func(cfg *Config)
+		wantErr string // "" = New must succeed
+	}{
+		{"gossip_negative", func(cfg *Config) { cfg.GossipFanout = -1 }, "GossipFanout"},
+		{"probe_negative", func(cfg *Config) { cfg.ProbeFanout = -1 }, "ProbeFanout"},
+		{"probe_negative_repair_on", func(cfg *Config) { cfg.RepairWorkers = 1; cfg.ProbeFanout = -3 }, "ProbeFanout"},
+		{"defaults", func(cfg *Config) {}, ""},
+		{"positive", func(cfg *Config) { cfg.GossipFanout = 2; cfg.RepairWorkers = 1; cfg.ProbeFanout = 1 }, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fn := newFakeNet()
+			cfg := Config{
+				Identity:    idents[0],
+				Accounts:    accounts,
+				PoS:         pos.Params{M: pos.DefaultM, T0: time.Hour},
+				GenesisSeed: 42,
+				Epoch:       time.Unix(1700000000, 0),
+				Clock:       newFakeClock(time.Unix(1700000000, 0)),
+				NewTransport: func(h p2p.Handler) (p2p.Transport, error) {
+					return fn.endpoint("a", h), nil
+				},
+			}
+			tc.mutate(&cfg)
+			node, err := New(cfg)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				node.Close()
+				return
+			}
+			if err == nil {
+				node.Close()
+				t.Fatalf("New accepted the config, want an error naming %s", tc.wantErr)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("New error %q does not name %s", err, tc.wantErr)
+			}
+		})
 	}
 }

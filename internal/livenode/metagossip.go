@@ -55,12 +55,6 @@ type pendingMetaFetch struct {
 	timer Timer
 }
 
-// metaGossipEnabledLocked reports whether the metadata relay (rather than
-// the legacy full-mesh push) is in effect (n.mu held).
-func (n *Node) metaGossipEnabledLocked() bool {
-	return n.gossip != nil && n.gossip.metaFanout > 0
-}
-
 // --- wire codecs --------------------------------------------------------------
 
 // encodeIDList serializes a FrameMetaAnnounce / FrameGetMeta payload: a
@@ -104,21 +98,7 @@ func (n *Node) relayMeta(ids []meta.DataID, exclude string) {
 	if len(ids) == 0 {
 		return
 	}
-	peers := n.net.Peers()
-	cand := peers[:0]
-	for _, p := range peers {
-		if p != exclude {
-			cand = append(cand, p)
-		}
-	}
-	n.mu.Lock()
-	g := n.gossip
-	if g == nil || g.metaFanout <= 0 || n.closed {
-		n.mu.Unlock()
-		return
-	}
-	targets := samplePeersLocked(g.rng, cand, g.metaFanout)
-	n.mu.Unlock()
+	targets := n.sampleGossipPeers(exclude)
 	if len(targets) == 0 {
 		return
 	}
@@ -142,11 +122,11 @@ func (n *Node) handleMetaAnnounce(from string, payload []byte) {
 	}
 	var want []meta.DataID
 	n.mu.Lock()
-	g := n.gossip
-	if g == nil || g.metaFanout <= 0 || n.closed {
+	if n.closed {
 		n.mu.Unlock()
 		return
 	}
+	g := n.gossip
 	for _, id := range ids {
 		switch {
 		case n.eng.OnChain(id):
@@ -209,10 +189,10 @@ func (n *Node) handleGetMeta(from string, payload []byte) {
 func (n *Node) onMetaFetchTimeout(id meta.DataID, gen uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	g := n.gossip
-	if g == nil || n.closed {
+	if n.closed {
 		return
 	}
+	g := n.gossip
 	pm := g.metaPending[id]
 	if pm == nil || pm.gen != gen {
 		return // answered, or superseded
@@ -228,9 +208,6 @@ func (n *Node) onMetaFetchTimeout(id meta.DataID, gen uint64) {
 // Returns whether the admitted item should be re-relayed.
 func (n *Node) noteMetaArrivalLocked(id meta.DataID, added bool) (relay bool) {
 	g := n.gossip
-	if g == nil || g.metaFanout <= 0 {
-		return false
-	}
 	if pm := g.metaPending[id]; pm != nil {
 		pm.timer.Stop()
 		delete(g.metaPending, id)

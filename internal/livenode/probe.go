@@ -43,7 +43,7 @@ const (
 	// regime: miss probability per period decays exponentially in fanout).
 	defaultProbeFanout = 4
 	// probeDigestMax bounds the (index, age) pairs one ack carries. 16
-	// entries keep the ack at 75 wire bytes — the legacy broadcast costs
+	// entries keep the ack at 75 wire bytes — an announce broadcast costs
 	// more than that per tick at any roster past ~8 nodes.
 	probeDigestMax = 16
 	// probeDigestUnit is the age quantum in digests. 100ms resolution is

@@ -205,19 +205,24 @@ func TestProbeAliveUnderLossNeverDead(t *testing.T) {
 	}
 }
 
-// TestProbeLegacyBroadcastStillWorks pins the -probe-fanout escape hatch:
-// ProbeFanout < 0 restores the per-tick announce broadcast, no probe
-// frames flow, and dead detection still happens.
-func TestProbeLegacyBroadcastStillWorks(t *testing.T) {
-	const n, victim = 6, 2
-	pc := newProbeCluster(t, n, 42, -1)
+// TestProbeSmallRosterBroadcast pins the roster-size selection: on a
+// 4-node roster the default fanout (4) would cover every peer each tick,
+// so the node broadcasts its roster announce instead — no probe frames
+// flow — and dead detection still happens.
+func TestProbeSmallRosterBroadcast(t *testing.T) {
+	const n, victim = 4, 2
+	pc := newProbeCluster(t, n, 42, 0)
 	pc.clock.Advance(5 * time.Second)
-	var sent uint64
+	var sent, heartbeat uint64
 	for _, reg := range pc.regs {
 		sent += counter(reg, "livenode.probe.sent")
+		heartbeat += counter(reg, "livenode.wire.heartbeat_bytes")
 	}
 	if sent != 0 {
-		t.Fatalf("legacy mode sent %d probes", sent)
+		t.Fatalf("small roster sent %d probes, want the announce broadcast", sent)
+	}
+	if heartbeat == 0 {
+		t.Fatal("no heartbeat bytes — the announce broadcast never ran")
 	}
 	pc.kill(t, victim)
 	pc.clock.Advance(probeTestSuspect + probeTestHyst + 2*probeTestEvery)

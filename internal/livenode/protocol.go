@@ -217,16 +217,11 @@ func (n *Node) mine(r engine.Round) {
 	n.tel.blocksWon.Inc()
 	n.tel.repairReannounced.Add(res.Repairs)
 	n.tel.events.RecordAt(n.clock.Now(), "block_won", fmt.Sprintf("height %d, %d items", blk.Index, len(blk.Items)))
-	gossip := n.gossip != nil
 	n.scheduleMiningLocked()
 	n.mu.Unlock()
-	if gossip {
-		// Inv-style relay (DESIGN.md §13): announce (height, hash) to a
-		// bounded peer sample; bodies travel only to peers that fetch them.
-		n.relayBlock(blk, "")
-	} else {
-		n.bcast(p2p.FrameBlock, blk.Encode())
-	}
+	// Inv-style relay (DESIGN.md §13): announce (height, hash) to a
+	// bounded peer sample; bodies travel only to peers that fetch them.
+	n.relayBlock(blk, "")
 }
 
 // --- frame handling -----------------------------------------------------------

@@ -75,10 +75,11 @@ type repairDriver struct {
 	floor      int // replica floor the under-replication gauge checks
 	timer      Timer
 
-	// Sampled liveness probing (DESIGN.md §15); probeFanout == 0 keeps
-	// the legacy per-tick announce broadcast. The rng is seeded separately
-	// from the gossip plane's so probe sampling never perturbs block/meta
-	// relay draws (and vice versa) in deterministic runs.
+	// Sampled liveness probing (DESIGN.md §15); probeFanout == 0 on a
+	// roster too small to sample broadcasts the announce each tick
+	// instead. The rng is seeded separately from the gossip plane's so
+	// probe sampling never perturbs block/meta relay draws (and vice
+	// versa) in deterministic runs.
 	probeFanout  int
 	rng          *rand.Rand
 	digestCursor int // rotating roster cursor for ack digest selection
@@ -112,19 +113,12 @@ func (n *Node) initRepair() *repairDriver {
 		probeEvery: n.cfg.RepairProbeEvery,
 		floor:      n.cfg.RepairReplicaFloor,
 	}
-	switch {
-	case n.cfg.ProbeFanout > 0:
+	// When the sample would cover the whole roster every tick, sampling
+	// buys nothing over the announce broadcast and its acks are pure
+	// overhead: probeFanout stays 0 and a tiny cluster broadcasts its
+	// heartbeat, which keeps repair bytes below consensus bytes (§11).
+	if n.cfg.ProbeFanout < len(n.cfg.Accounts)-1 {
 		rd.probeFanout = n.cfg.ProbeFanout
-	case n.cfg.ProbeFanout == 0:
-		rd.probeFanout = defaultProbeFanout
-	}
-	if rd.probeFanout >= len(n.cfg.Accounts)-1 {
-		// The sample would cover the whole roster every tick, so sampling
-		// buys nothing over the broadcast and its acks are pure overhead:
-		// a tiny cluster keeps the legacy announce heartbeat.
-		rd.probeFanout = 0
-	}
-	if rd.probeFanout > 0 {
 		// Distinct multiplier from the gossip RNG seed: the two planes
 		// must draw independent deterministic streams.
 		rd.rng = rand.New(rand.NewSource(n.cfg.GenesisSeed ^ (int64(n.selfIdx+1) * 0x7F4A7C15)))
@@ -174,7 +168,7 @@ func (n *Node) noteFrameFrom(from string) {
 }
 
 // repairTick is the repair plane's heartbeat: it refreshes liveness
-// evidence (sampled probes, or the legacy announce broadcast), sweeps
+// evidence (sampled probes, or the small-roster announce broadcast), sweeps
 // membership, expires index entries and timed-out fetches, and pumps the
 // queue — launching targeted provider fetches under the worker and
 // byte-rate budgets. Network sends happen after n.mu is released.
@@ -442,19 +436,19 @@ func (n *Node) countWire(ft byte, payloadLen, copies int) {
 		n.tel.wireDataBytes.Add(bytes)
 	case p2p.FrameRepairAnnounce, p2p.FrameRepairProbe, p2p.FrameRepairProbeAck:
 		// Liveness traffic alone — the bytes the §15 sampled-probe gate
-		// compares against the legacy broadcast heartbeat.
+		// holds under its recorded ceiling.
 		n.tel.wireRepairBytes.Add(bytes)
 		n.tel.wireHeartbeatBytes.Add(bytes)
 	case p2p.FrameRepairGet, p2p.FrameRepairData:
 		n.tel.wireRepairBytes.Add(bytes)
 	case p2p.FrameMeta, p2p.FrameMetaAnnounce, p2p.FrameGetMeta:
-		// Metadata propagation (push or gossip announce/fetch exchange) —
-		// the bytes the §15 meta-gossip gate compares.
+		// Metadata propagation (announce/fetch exchange) — the bytes the
+		// §15 meta-gossip gate holds under its recorded ceiling.
 		n.tel.wireConsensusBytes.Add(bytes)
 		n.tel.wireMetaBytes.Add(bytes)
 	case p2p.FrameBlock, p2p.FrameGetBlock:
-		// Block propagation proper (push or gossip fetch exchange) — the
-		// bytes the §13 gossip-vs-full-mesh gate compares.
+		// Block propagation proper (the fetch exchange) — the bytes the
+		// §13 gossip gate holds under its recorded ceiling.
 		n.tel.wireConsensusBytes.Add(bytes)
 		n.tel.wireBlockBytes.Add(bytes)
 	case p2p.FrameBlockAnnounce:

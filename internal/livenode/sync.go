@@ -453,9 +453,8 @@ func (n *Node) onSyncTimeout(gen uint64) {
 
 // otherSyncPeer picks where a dropped session retries: one peer other
 // than failed, drawn by the gossip plane's seeded sampler so virtual-clock
-// runs stay deterministic. With no other peer, or without gossip (legacy
-// push), it returns "" and the locator goes to every peer. Callers must
-// NOT hold n.mu.
+// runs stay deterministic. With no other peer it returns "" and the
+// locator goes to every peer. Callers must NOT hold n.mu.
 func (n *Node) otherSyncPeer(failed string) string {
 	if peers := n.sampleGossipPeers(failed); len(peers) > 0 {
 		return peers[0]
